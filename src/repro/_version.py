@@ -10,7 +10,7 @@ from __future__ import annotations
 
 __all__ = ["__version__", "version_info"]
 
-__version__ = "1.1.0"
+__version__ = "1.1.1"
 
 #: ``(major, minor, patch)`` integer triple parsed from ``__version__``.
 version_info = tuple(int(part) for part in __version__.split("."))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse as sp
 
 from .._validation import check_array, check_is_fitted, check_random_state
 from ..exceptions import ValidationError
@@ -34,6 +35,26 @@ from ._prototypes import assignment_backprop, soft_assignments
 __all__ = ["IFair"]
 
 _DIST_EPS = 1e-9
+
+
+def _pair_difference_operator(pairs: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sparse signed pair operator ``B``, shape ``(n_pairs, n)``.
+
+    Row ``p`` holds +1 in column ``i`` and -1 in column ``j`` for the pair
+    ``(i, j) = pairs[p]``, so ``B @ Z`` stacks the pairwise differences
+    ``Z[i] - Z[j]`` and ``B.T @ G`` scatters a per-pair gradient back onto
+    both rows of each pair. ``B`` is the transpose of the pairs' incidence
+    matrix; stored as CSR, both products stream over the pair axis in order.
+    """
+    n_pairs = len(pairs)
+    return sp.csr_matrix(
+        (
+            np.tile([1.0, -1.0], n_pairs),
+            pairs.ravel(),
+            np.arange(0, 2 * n_pairs + 1, 2),
+        ),
+        shape=(n_pairs, n),
+    )
 
 
 class IFair(BaseEstimator, TransformerMixin):
@@ -99,7 +120,7 @@ class IFair(BaseEstimator, TransformerMixin):
         distinct = left != right
         return np.column_stack([left[distinct], right[distinct]])
 
-    def _loss_grad(self, theta, X, pairs, target_distances):
+    def _loss_grad(self, theta, X, pair_op, target_distances):
         n, m = X.shape
         V, alpha = self._unpack(theta, m)
         U, _ = soft_assignments(X, V, alpha)
@@ -110,24 +131,22 @@ class IFair(BaseEstimator, TransformerMixin):
         loss_util = float(np.sum(residual * residual)) / n
 
         # Fairness: match transported distances to d*.
-        i_idx, j_idx = pairs[:, 0], pairs[:, 1]
-        diff = X_tilde[i_idx] - X_tilde[j_idx]
-        distances = np.sqrt(np.sum(diff * diff, axis=1) + _DIST_EPS)
+        diff = pair_op @ X_tilde  # row p: x̃_i - x̃_j for pair p = (i, j)
+        distances = np.sqrt(np.einsum("pm,pm->p", diff, diff) + _DIST_EPS)
         errors = distances - target_distances
-        n_pairs = len(pairs)
+        n_pairs = pair_op.shape[0]
         loss_fair = float(errors @ errors) / n_pairs
 
         loss = self.lambda_util * loss_util + self.mu_fair * loss_fair
 
-        # Gradient w.r.t. X_tilde.
+        # Gradient w.r.t. X_tilde: each pair adds +g to x̃_i and -g to x̃_j.
         R = self.lambda_util * (2.0 / n) * residual
-        pair_coeff = self.mu_fair * (2.0 / n_pairs) * (errors / distances)
-        pair_grad = pair_coeff[:, None] * diff
-        np.add.at(R, i_idx, pair_grad)
-        np.add.at(R, j_idx, -pair_grad)
+        diff *= (self.mu_fair * (2.0 / n_pairs) * (errors / distances))[:, None]
+        R += pair_op.T @ diff
 
-        # Through U (softmax) and the direct U@V dependence.
-        G = R @ V.T
+        # Through U (softmax) and the direct U@V dependence. ∂L/∂U = R Vᵀ is
+        # formed as (V Rᵀ)ᵀ to share the memory layout of U.
+        G = (V @ R.T).T
         grad_V, grad_alpha = assignment_backprop(
             X, V, U, G, alpha, want_alpha_grad=True
         )
@@ -160,11 +179,8 @@ class IFair(BaseEstimator, TransformerMixin):
                 raise ValidationError("protected_columns removes every feature")
 
         rng = check_random_state(self.seed)
-        pairs = self._sample_pairs(n, rng)
-        fair_view = X[:, keep]
-        target = np.sqrt(
-            np.sum((fair_view[pairs[:, 0]] - fair_view[pairs[:, 1]]) ** 2, axis=1)
-        )
+        pair_op = _pair_difference_operator(self._sample_pairs(n, rng), n)
+        target = np.linalg.norm(pair_op @ X[:, keep], axis=1)
 
         K = self.n_prototypes
         anchors = rng.choice(n, size=K, replace=n < K)
@@ -179,7 +195,7 @@ class IFair(BaseEstimator, TransformerMixin):
         result = scipy.optimize.minimize(
             self._loss_grad,
             theta0,
-            args=(X, pairs, target),
+            args=(X, pair_op, target),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,

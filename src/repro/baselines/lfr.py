@@ -25,6 +25,7 @@ import numpy as np
 import scipy.optimize
 
 from .._validation import (
+    check_array,
     check_binary_labels,
     check_consistent_length,
     check_is_fitted,
@@ -39,6 +40,15 @@ from ._prototypes import assignment_backprop, soft_assignments
 __all__ = ["LFR"]
 
 _PROB_EPS = 1e-6
+
+
+def _parity_weights(in_first: np.ndarray) -> np.ndarray:
+    """Signed per-row weights ``c`` of the parity term, shape ``(n,)``.
+
+    ``c`` is ``+1/|S0|`` on the first group and ``-1/|S1|`` on the second,
+    so ``c @ U`` is the gap of group means ``mean_{s=0} U - mean_{s=1} U``.
+    """
+    return np.where(in_first, 1.0 / in_first.sum(), -1.0 / (~in_first).sum())
 
 
 class LFR(BaseEstimator, TransformerMixin):
@@ -87,9 +97,8 @@ class LFR(BaseEstimator, TransformerMixin):
         w = theta[K * m :]
         return V, w
 
-    def _loss_grad(self, theta, X, y, group_masks):
+    def _loss_grad(self, theta, X, y, group_weights):
         n, m = X.shape
-        K = self.n_prototypes
         V, w = self._unpack(theta, m)
         U, _ = soft_assignments(X, V)
 
@@ -101,27 +110,23 @@ class LFR(BaseEstimator, TransformerMixin):
         y_hat = np.clip(U @ w, _PROB_EPS, 1.0 - _PROB_EPS)
         loss_y = float(-np.mean(y * np.log(y_hat) + (1 - y) * np.log(1 - y_hat)))
 
-        means = [U[mask].mean(axis=0) for mask in group_masks]
-        gaps = means[0] - means[1]
+        gaps = group_weights @ U  # mean_{s=0} U - mean_{s=1} U
         loss_z = float(np.sum(np.abs(gaps)))
 
         loss = self.a_x * loss_x + self.a_y * loss_y + self.a_z * loss_z
 
         # --- backward ---------------------------------------------------
-        # ∂L/∂U has three contributions.
-        G = np.zeros_like(U)
+        # ∂L/∂U has three contributions. It is built as its (K, n)
+        # transpose, the memory layout soft_assignments gives U.
         # reconstruction: ∂L_x/∂U_nk = (2/n) residual_n · v_k
-        G += self.a_x * (2.0 / n) * (residual @ V.T)
+        G_t = self.a_x * (2.0 / n) * (V @ residual.T)
         # prediction: ∂L_y/∂ŷ_n = (ŷ-y)/(ŷ(1-ŷ)) / n ; ∂ŷ/∂U_nk = w_k
         bce_grad = (y_hat - y) / (y_hat * (1.0 - y_hat)) / n
-        G += self.a_y * bce_grad[:, None] * w[None, :]
+        G_t += np.outer(w, self.a_y * bce_grad)
         # parity: ∂L_z/∂U_nk = sign(gap_k) * (±1/|group|)
-        signs = np.sign(gaps)
-        counts = [mask.sum() for mask in group_masks]
-        G[group_masks[0]] += self.a_z * signs[None, :] / counts[0]
-        G[group_masks[1]] -= self.a_z * signs[None, :] / counts[1]
+        G_t += np.outer(np.sign(gaps), self.a_z * group_weights)
 
-        grad_V, _ = assignment_backprop(X, V, U, G, None)
+        grad_V, _ = assignment_backprop(X, V, U, G_t.T, None)
         # Direct dependence of L_x on V (through X_hat = U V).
         grad_V += self.a_x * (2.0 / n) * (U.T @ residual)
         # ∂L_y/∂w_k = Σ_n bce_grad_n U_nk
@@ -169,13 +174,13 @@ class LFR(BaseEstimator, TransformerMixin):
         w0 = rng.uniform(0.25, 0.75, size=K)
         theta0 = np.concatenate([V0.ravel(), w0])
 
-        group_masks = (s == group_values[0], s == group_values[1])
+        group_weights = _parity_weights(s == group_values[0])
         bounds = [(None, None)] * (K * m) + [(0.0, 1.0)] * K
 
         result = scipy.optimize.minimize(
             self._loss_grad,
             theta0,
-            args=(X, y, group_masks),
+            args=(X, y, group_weights),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
@@ -193,13 +198,13 @@ class LFR(BaseEstimator, TransformerMixin):
     def transform(self, X) -> np.ndarray:
         """Soft prototype assignments ``U`` — the fair representation, shape (n, K)."""
         check_is_fitted(self, "prototypes_")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
+        X = check_array(X, name="X")
+        if X.shape[1] != self.n_features_in_:
             raise ValidationError(
                 f"X must have shape (n, {self.n_features_in_}); got {X.shape}"
             )
         U, _ = soft_assignments(X, self.prototypes_)
-        return U
+        return np.ascontiguousarray(U)
 
     def predict_proba_positive(self, X) -> np.ndarray:
         """LFR's own label predictor ``ŷ = U w`` (used by the original paper)."""

@@ -54,9 +54,8 @@ def accuracy_score(y_true, y_pred) -> float:
 def confusion_matrix(y_true, y_pred) -> np.ndarray:
     """2x2 confusion matrix ``[[TN, FP], [FN, TP]]`` (rows: true, cols: predicted)."""
     y_true, y_pred = _check_pred_pair(y_true, y_pred)
-    matrix = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(matrix, (y_true, y_pred), 1)
-    return matrix
+    cells = np.bincount(2 * y_true + y_pred, minlength=4)
+    return cells.reshape(2, 2).astype(np.int64)
 
 
 def precision_score(y_true, y_pred) -> float:

@@ -5,6 +5,8 @@ import pytest
 import scipy.optimize
 
 from repro.baselines import IFair
+from repro.baselines._prototypes import assignment_backprop, soft_assignments
+from repro.baselines.ifair import _DIST_EPS, _pair_difference_operator
 from repro.exceptions import NotFittedError, ValidationError
 
 
@@ -27,18 +29,78 @@ class TestGradient:
         X = rng.normal(size=(12, 3))
         model = IFair(n_prototypes=3, lambda_util=0.7, mu_fair=1.3, seed=0)
         pairs = np.array([(0, 1), (2, 5), (7, 11), (3, 4)])
+        pair_op = _pair_difference_operator(pairs, len(X))
         target = rng.random(len(pairs)) * 2.0
         theta = np.concatenate(
             [rng.normal(size=3 * 3), rng.uniform(0.5, 1.5, size=3)]
         )
         error = scipy.optimize.check_grad(
-            lambda t: model._loss_grad(t, X, pairs, target)[0],
-            lambda t: model._loss_grad(t, X, pairs, target)[1],
+            lambda t: model._loss_grad(t, X, pair_op, target)[0],
+            lambda t: model._loss_grad(t, X, pair_op, target)[1],
             theta,
             seed=0,
         )
-        magnitude = np.linalg.norm(model._loss_grad(theta, X, pairs, target)[1])
+        magnitude = np.linalg.norm(model._loss_grad(theta, X, pair_op, target)[1])
         assert error / max(magnitude, 1.0) < 1e-5
+
+
+def scatter_loss_grad(model, theta, X, pairs, target_distances):
+    """Reference objective: fancy-indexed pair differences and an
+    ``np.add.at`` scatter of the pair gradient."""
+    n, m = X.shape
+    V, alpha = model._unpack(theta, m)
+    U, _ = soft_assignments(X, V, alpha)
+    X_tilde = U @ V
+    residual = X_tilde - X
+    i_idx, j_idx = pairs[:, 0], pairs[:, 1]
+    diff = X_tilde[i_idx] - X_tilde[j_idx]
+    distances = np.sqrt(np.sum(diff * diff, axis=1) + _DIST_EPS)
+    errors = distances - target_distances
+    loss = model.lambda_util * float(np.sum(residual * residual)) / n
+    loss += model.mu_fair * float(errors @ errors) / len(pairs)
+
+    R = model.lambda_util * (2.0 / n) * residual
+    pair_coeff = model.mu_fair * (2.0 / len(pairs)) * (errors / distances)
+    pair_grad = pair_coeff[:, None] * diff
+    np.add.at(R, i_idx, pair_grad)
+    np.add.at(R, j_idx, -pair_grad)
+    grad_V, grad_alpha = assignment_backprop(
+        X, V, U, R @ V.T, alpha, want_alpha_grad=True
+    )
+    grad_V += U.T @ R
+    return loss, np.concatenate([grad_V.ravel(), grad_alpha])
+
+
+class TestPairOperator:
+    def test_products_are_differences_and_scatter(self, rng):
+        pairs = np.array([(0, 3), (2, 1), (3, 0), (0, 3)])
+        op = _pair_difference_operator(pairs, 4)
+        Z = rng.normal(size=(4, 2))
+        np.testing.assert_array_equal(op @ Z, Z[pairs[:, 0]] - Z[pairs[:, 1]])
+        G = rng.normal(size=(4, 2))
+        expected = np.zeros((4, 2))
+        np.add.at(expected, pairs[:, 0], G)
+        np.add.at(expected, pairs[:, 1], -G)
+        np.testing.assert_allclose(op.T @ G, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("max_pairs", [10000, 300])
+    def test_loss_grad_matches_scatter_reference(self, rng, max_pairs):
+        n, m, K = 60, 4, 5
+        X = rng.normal(size=(n, m))
+        model = IFair(
+            n_prototypes=K, lambda_util=0.8, mu_fair=1.7, max_pairs=max_pairs
+        )
+        pairs = model._sample_pairs(n, np.random.default_rng(0))
+        assert (len(pairs) == n * (n - 1) // 2) == (max_pairs == 10000)
+        target = rng.random(len(pairs)) * 3.0
+        theta = np.concatenate([rng.normal(size=K * m), rng.uniform(0.0, 2.0, m)])
+
+        loss, grad = model._loss_grad(
+            theta, X, _pair_difference_operator(pairs, n), target
+        )
+        loss_ref, grad_ref = scatter_loss_grad(model, theta, X, pairs, target)
+        assert loss == pytest.approx(loss_ref, rel=1e-10)
+        assert np.linalg.norm(grad - grad_ref) <= 1e-10 * np.linalg.norm(grad_ref)
 
 
 class TestFit:

@@ -5,6 +5,8 @@ import pytest
 import scipy.optimize
 
 from repro.baselines import LFR
+from repro.baselines._prototypes import soft_assignments
+from repro.baselines.lfr import _parity_weights
 from repro.exceptions import NotFittedError, ValidationError
 
 
@@ -24,18 +26,38 @@ class TestGradient:
         y[:2] = [0, 1]
         s = np.array([0, 1] * 7 + [0])
         model = LFR(n_prototypes=4, a_x=0.3, a_y=1.0, a_z=2.0, seed=0)
-        group_masks = (s == 0, s == 1)
+        group_weights = _parity_weights(s == 0)
         theta = rng.normal(size=4 * 3 + 4)
         theta[-4:] = np.clip(theta[-4:], 0.05, 0.95)
 
         error = scipy.optimize.check_grad(
-            lambda t: model._loss_grad(t, X, y, group_masks)[0],
-            lambda t: model._loss_grad(t, X, y, group_masks)[1],
+            lambda t: model._loss_grad(t, X, y, group_weights)[0],
+            lambda t: model._loss_grad(t, X, y, group_weights)[1],
             theta,
             seed=0,
         )
-        magnitude = np.linalg.norm(model._loss_grad(theta, X, y, group_masks)[1])
+        magnitude = np.linalg.norm(model._loss_grad(theta, X, y, group_weights)[1])
         assert error / max(magnitude, 1.0) < 1e-5
+
+
+class TestParityWeights:
+    def test_gaps_equal_group_mean_difference(self, rng):
+        s = rng.integers(0, 2, size=37)
+        U = rng.dirichlet(np.ones(6), size=37)
+        gaps = _parity_weights(s == 0) @ U
+        expected = U[s == 0].mean(axis=0) - U[s == 1].mean(axis=0)
+        np.testing.assert_allclose(gaps, expected, rtol=1e-12, atol=1e-15)
+
+    def test_parity_loss_is_sum_of_absolute_gaps(self, rng):
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(0, 2, 40)
+        s = rng.integers(0, 2, 40)
+        model = LFR(n_prototypes=4, a_x=0.0, a_y=0.0, a_z=1.0)
+        theta = np.concatenate([rng.normal(size=4 * 3), rng.uniform(0.2, 0.8, 4)])
+        loss, _ = model._loss_grad(theta, X, y, _parity_weights(s == 0))
+        U, _ = soft_assignments(X, theta[:12].reshape(4, 3))
+        expected = np.abs(U[s == 0].mean(axis=0) - U[s == 1].mean(axis=0)).sum()
+        assert loss == pytest.approx(expected, rel=1e-12)
 
 
 class TestFit:
@@ -120,3 +142,14 @@ class TestValidation:
         model = LFR(n_prototypes=3, seed=0).fit(X, y, s=s)
         with pytest.raises(ValidationError, match="shape"):
             model.transform(np.ones((2, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_transform_rejects_non_finite(self, grouped_problem, bad):
+        X, y, s = grouped_problem
+        model = LFR(n_prototypes=3, max_iter=10, seed=0).fit(X, y, s=s)
+        rows = X[:4].copy()
+        rows[2, 1] = bad
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            model.transform(rows)
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            model.predict_proba_positive(rows)

@@ -59,6 +59,70 @@ class TestForward:
         np.testing.assert_allclose(U.sum(), 1.0)
 
 
+def broadcast_soft_assignments(X, V, alpha=None):
+    """Reference forward pass: the direct ``(n, K, m)`` difference tensor."""
+    diff = X[:, None, :] - V[None, :, :]
+    weights = np.ones(X.shape[1]) if alpha is None else alpha
+    D = np.sum(diff * diff * weights[None, None, :], axis=2)
+    logits = -D - (-D).max(axis=1, keepdims=True)
+    expd = np.exp(logits)
+    return expd / expd.sum(axis=1, keepdims=True), D
+
+
+class TestExpandedDistanceParity:
+    """The expanded-distance kernel against the broadcast oracle."""
+
+    @staticmethod
+    def _assert_parity(X, V, alpha):
+        U, D = soft_assignments(X, V, alpha)
+        U_ref, D_ref = broadcast_soft_assignments(X, V, alpha)
+        np.testing.assert_allclose(U, U_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(D, D_ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n, K, m", [(1, 1, 1), (7, 3, 4), (200, 10, 27)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_random_inputs(self, n, K, m, weighted):
+        rng = np.random.default_rng(n * 100 + K * 10 + m)
+        alpha = rng.uniform(0.0, 2.0, size=m) if weighted else None
+        self._assert_parity(rng.normal(size=(n, m)), rng.normal(size=(K, m)), alpha)
+
+    def test_zero_weight_columns(self):
+        rng = np.random.default_rng(1)
+        X, V = rng.normal(size=(50, 6)), rng.normal(size=(5, 6))
+        alpha = rng.uniform(0.5, 2.0, size=6)
+        alpha[[1, 4]] = 0.0
+        self._assert_parity(X, V, alpha)
+        # A zero-weight column cannot move the assignments.
+        X_moved = X.copy()
+        X_moved[:, [1, 4]] += 100.0
+        np.testing.assert_allclose(
+            soft_assignments(X_moved, V, alpha)[0],
+            soft_assignments(X, V, alpha)[0],
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_far_points(self, weighted):
+        rng = np.random.default_rng(2)
+        X = 1e4 + rng.normal(size=(20, 3))
+        V = rng.normal(size=(4, 3))
+        alpha = rng.uniform(0.5, 2.0, size=3) if weighted else None
+        self._assert_parity(X, V, alpha)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_row_on_a_prototype_has_nonnegative_distance(self, weighted):
+        # Unclamped, rounding in |x|² - 2x·v + |v|² leaves these rows at
+        # about -2e-13 from their own prototype.
+        rng = np.random.default_rng(3)
+        V = rng.normal(size=(6, 5)) * 10.0
+        X = np.vstack([V, V[::-1] + 1e-9])
+        alpha = rng.uniform(0.5, 2.0, size=5) if weighted else None
+        _, D = soft_assignments(X, V, alpha)
+        assert D.min() >= 0.0
+        np.testing.assert_allclose(np.diag(D[:6]), 0.0, atol=1e-10)
+
+
 def _numeric_grad(f, theta, eps=1e-6):
     grad = np.zeros_like(theta)
     for i in range(len(theta)):
