@@ -18,7 +18,8 @@ def test_bench_figure10(once):
     sweep = result.data["sweep"]
     # γ ↑ ⇒ Consistency(WF) ↑ and Consistency(WX) ↓; the demographic-parity
     # gap collapses. (Deviation vs the paper: overall AUC stays flat or
-    # rises slightly instead of declining — see EXPERIMENTS.md.)
+    # rises slightly instead of declining; `python -m repro run figure10`
+    # prints the series.)
     assert series["consistency_wf"][-1] > series["consistency_wf"][0]
     assert series["consistency_wx"][-1] < series["consistency_wx"][0]
     assert (

@@ -20,6 +20,6 @@ def test_bench_figure6(once):
     hardt = results["hardt+"].rates
     hardt_mean = 0.5 * (hardt.gap("fpr") + hardt.gap("fnr"))
     # Hardt+ optimizes error equality directly; PFR gets within 0.1 of it
-    # without any group-fairness term (see EXPERIMENTS.md for the residual
-    # FPR gap on this extreme-base-rate workload).
+    # without any group-fairness term (`python -m repro run figure6` prints
+    # the residual FPR gap on this extreme-base-rate workload).
     assert pfr_mean <= hardt_mean + 0.1

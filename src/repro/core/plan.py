@@ -587,33 +587,33 @@ class SpectralFitPlan:
                 )
             raise ValidationError(f"d must be in [1, {d_max}]; got {d}")
 
-        # Per-γ cache accounting: a "hit" reuses previously computed
-        # eigenpairs (slice or memoized exact solve), a "miss" pays an
-        # eigensolve. Counters only — they never influence which path runs.
+        # Cache accounting: a "hit" reuses previously computed eigenpairs
+        # (slice or memoized exact solve), a "miss" pays an eigensolve.
+        # Counters only — they never influence which path runs. They carry
+        # no γ label, so a sweep grid cannot grow their label sets.
         registry = get_registry()
-        gamma_label = f"{gamma:g}"
         cached = self._solves.get(gamma)
         if cached is not None and cached[0].shape[0] > d:
             if self._slice_is_safe(cached[0], d):
-                registry.inc("plan.solve_cache.hits", gamma=gamma_label)
+                registry.inc("plan.solve_cache.hits")
                 eigenvalues, vectors = cached
                 return eigenvalues[:d].copy(), vectors[:, :d].copy()
             exact = self._exact_solves.get((gamma, d))
             if exact is None:
-                registry.inc("plan.solve_cache.misses", gamma=gamma_label)
+                registry.inc("plan.solve_cache.misses")
                 exact = self._solve_fresh(gamma, d)
                 self._exact_solves[(gamma, d)] = exact
             else:
-                registry.inc("plan.solve_cache.hits", gamma=gamma_label)
+                registry.inc("plan.solve_cache.hits")
             eigenvalues, vectors = exact
             return eigenvalues.copy(), vectors.copy()
 
         if cached is None or cached[0].shape[0] < d:
-            registry.inc("plan.solve_cache.misses", gamma=gamma_label)
+            registry.inc("plan.solve_cache.misses")
             cached = self._solve_fresh(gamma, d)
             self._solves[gamma] = cached
         else:
-            registry.inc("plan.solve_cache.hits", gamma=gamma_label)
+            registry.inc("plan.solve_cache.hits")
         eigenvalues, vectors = cached
         return eigenvalues[:d].copy(), vectors[:, :d].copy()
 

@@ -1,9 +1,10 @@
-"""Registry of the paper's experiments (the per-experiment index of DESIGN.md).
+"""Registry of the paper's experiments (one entry per table and figure).
 
 Each entry ties a table/figure of the paper to the driver that regenerates
 it, the workload it runs on, and the qualitative claims ("shapes") the
-reproduction is expected to exhibit. Benchmarks and EXPERIMENTS.md are both
-generated from this registry so the three stay in sync.
+reproduction is expected to exhibit. The benchmarks and ``python -m repro
+list`` read this registry; README's "Reproducing the paper" section shows
+how to run each entry.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class PaperExperiment:
         :mod:`repro.experiments.figures`.
     expected_shapes:
         The qualitative claims the reproduction should reproduce (checked
-        by the integration tests and recorded in EXPERIMENTS.md).
+        by the integration tests in ``tests/test_paper_claims.py``).
     bench_module:
         The benchmark file that regenerates the experiment.
     """

@@ -152,6 +152,9 @@ def _representation_geometry(Z, y, s) -> dict:
     * ``deserving_alignment``: same ratio computed only over positive-class
       ("deserving") individuals — PFR's distinguishing property is a value
       near 1.0 here.
+    * ``degenerate``: True when a within-group distance is 0 (e.g. the
+      representation maps every row to one point); the ratio it would
+      divide is then NaN.
     """
     Z = np.asarray(Z, dtype=np.float64)
     spread = Z.std(axis=0)
@@ -170,9 +173,13 @@ def _representation_geometry(Z, y, s) -> dict:
     d0, d1 = Zn[(s == 0) & (y == 1)], Zn[(s == 1) & (y == 1)]
     within_deserving = 0.5 * (mean_cross(d0, d0) + mean_cross(d1, d1))
     cross_deserving = mean_cross(d0, d1)
+    nan = float("nan")
     return {
-        "cross_group_distance": cross / within,
-        "deserving_alignment": cross_deserving / within_deserving,
+        "cross_group_distance": cross / within if within else nan,
+        "deserving_alignment": (
+            cross_deserving / within_deserving if within_deserving else nan
+        ),
+        "degenerate": within == 0 or within_deserving == 0,
     }
 
 
@@ -210,7 +217,9 @@ def figure1(*, seed: int = 0, scale: float = 1.0) -> FigureResult:
         )
 
     rows = [
-        [
+        [method, "degenerate", "degenerate"]
+        if geometry[method]["degenerate"]
+        else [
             method,
             geometry[method]["cross_group_distance"],
             geometry[method]["deserving_alignment"],

@@ -45,6 +45,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .._cpu import cpu_budget as available_workers
+from .._cpu import use_one_cpu
 from ..exceptions import ValidationError
 from ..obs.trace import (
     attach_worker_sinks,
@@ -57,14 +59,6 @@ from ..obs.trace import (
 __all__ = ["Executor", "get_executor", "spawn_seeds", "available_workers"]
 
 _BACKENDS = ("auto", "serial", "process")
-
-
-def available_workers() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def spawn_seeds(base_seed: int, n: int) -> tuple[int, ...]:
@@ -99,6 +93,9 @@ _WORKER_STATE: dict = {}
 
 def _init_worker(state, trace_paths=()) -> None:
     _WORKER_STATE["state"] = state
+    # One CPU per worker: the pool already spreads tasks over the CPUs,
+    # so threaded kernels (the exact k-NN query) run single-threaded here.
+    use_one_cpu()
     # Tracing config travels with the state: workers append to the same
     # JSONL files as the parent (O_APPEND single-line writes cannot
     # interleave), and an empty config keeps tracing off in the worker.

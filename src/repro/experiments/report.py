@@ -3,8 +3,9 @@
 The execution environment has no plotting stack, so every figure is
 reproduced as its underlying *data series* plus an ASCII rendering good
 enough to eyeball the paper's qualitative claims (who wins, where the
-curves cross). Benchmarks print these renderings; EXPERIMENTS.md records
-the numbers.
+curves cross). Benchmarks and ``python -m repro run`` print these
+renderings; README's "Reproducing the paper" section shows how to
+regenerate them.
 """
 
 from __future__ import annotations

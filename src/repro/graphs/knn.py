@@ -19,7 +19,10 @@ backend      complexity (n rows, f dims) accuracy guarantee
 ===========  ==========================  =========================================
 ``exact``    cKDTree — O(n log n) for    Exact neighbors. **Default.** The tree
              small f, degrades toward    degrades to near-brute-force for f ≳ 15
-             O(n²·f) as f grows          (measured quadratic at f = 24).
+             O(n²·f) as f grows; the     (measured quadratic at f = 24). Query
+             query runs on the CPU       rows split across threads; each row's
+             budget (affinity count,     traversal is unchanged, so graphs are
+             1 in pool workers)          bitwise identical at any thread count.
 ``blocked``  O(n²·f) BLAS, O(block·n)    Exact neighbors (identical graph to
              memory                      ``exact`` on tie-free data, bitwise).
                                          Wins over the tree for f ≳ 20 and on
@@ -47,6 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from .._cpu import cpu_budget
 from .._validation import check_array
 from ..exceptions import GraphConstructionError
 from ..obs.metrics import get_registry
@@ -192,7 +196,7 @@ def _selected_sq_distances(
     return np.sqrt(acc) ** 2
 
 
-def _neighbors_exact(view: np.ndarray, k: int) -> np.ndarray:
+def _neighbors_exact(view: np.ndarray, k: int, workers: int) -> np.ndarray:
     """Exact k-NN indices (self excluded by *index*) via cKDTree.
 
     Returns ``neighbors`` of shape ``(n, k)``. Querying ``k+1`` and
@@ -202,10 +206,11 @@ def _neighbors_exact(view: np.ndarray, k: int) -> np.ndarray:
     by index; rows where duplicates crowded the self match out of the
     ``k+1`` set drop the farthest entry instead. The tree is used for
     selection only; weights come from :func:`_selected_sq_distances`.
+    The query rows are split across ``workers`` threads.
     """
     n = view.shape[0]
     tree = cKDTree(view)
-    _, neighbors = tree.query(view, k=k + 1)
+    _, neighbors = tree.query(view, k=k + 1, workers=workers)
     self_mask = neighbors == np.arange(n)[:, None]
     keep = ~self_mask
     # Rows whose k+1 nearest are all coincident duplicates may not contain
@@ -422,11 +427,11 @@ def _measure_recall(
 
 
 def _search_neighbors(
-    view: np.ndarray, k: int, backend: str, options: dict
+    view: np.ndarray, k: int, backend: str, options: dict, workers: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch the same-set neighbor search to the selected backend."""
     if backend == "exact":
-        neighbors = _neighbors_exact(view, k)
+        neighbors = _neighbors_exact(view, k, workers)
         return neighbors, _selected_sq_distances(view, neighbors)
     if backend == "blocked":
         neighbors = _blocked_topk(
@@ -504,11 +509,12 @@ def knn_graph(
     distance_view = np.ascontiguousarray(_distance_view(X, exclude))
     bandwidth = _resolve_bandwidth(bandwidth, distance_view)
 
-    with span("graphs.knn", backend=backend, n=int(n), k=int(n_neighbors),
-              dtype=str(X.dtype)):
+    workers = cpu_budget() if backend == "exact" else 1
+    with span("graphs.knn_graph", backend=backend, n=int(n), k=int(n_neighbors),
+              dtype=str(X.dtype), workers=workers):
         get_registry().inc("knn.build", backend=backend)
         neighbors, sq_distances = _search_neighbors(
-            distance_view, n_neighbors, backend, options
+            distance_view, n_neighbors, backend, options, workers
         )
     rows = np.repeat(np.arange(n), n_neighbors)
     cols = neighbors.ravel()
@@ -598,12 +604,13 @@ def knn_cross(
     ref_view = np.ascontiguousarray(_distance_view(X_ref, exclude))
     bandwidth = _resolve_bandwidth(bandwidth, ref_view)
 
+    workers = cpu_budget() if backend == "exact" else 1
     with span("graphs.knn_cross", backend=backend, q=int(q), r=int(r),
-              k=int(n_neighbors), dtype=str(X_query.dtype)):
+              k=int(n_neighbors), dtype=str(X_query.dtype), workers=workers):
         get_registry().inc("knn.build", backend=backend)
         if backend == "exact":
             tree = cKDTree(ref_view)
-            _, neighbors = tree.query(query_view, k=n_neighbors)
+            _, neighbors = tree.query(query_view, k=n_neighbors, workers=workers)
             if n_neighbors == 1:  # cKDTree squeezes the k axis for k=1
                 neighbors = neighbors[:, None]
             sq_distances = _selected_sq_distances(

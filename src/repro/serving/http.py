@@ -414,7 +414,10 @@ class ServingServer:
             pass
         finally:
             writer.close()
-            with contextlib.suppress(Exception):
+            # CancelledError is not an Exception subclass: close() cancels
+            # in-flight handlers, and an unsuppressed cancel here is logged
+            # as "Exception in callback".
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
     async def _read_request(self, reader):

@@ -49,6 +49,12 @@ class TestRun:
         assert "Consistency(WF)" in out
         assert "pfr" in out
 
+    def test_run_figure1_quarter_scale(self, capsys):
+        # At this scale LFR collapses every row to one point; the geometry
+        # reports that instead of dividing by a zero within-group distance.
+        assert main(["run", "figure1", "--scale", "0.25"]) == 0
+        assert "[pfr]" in capsys.readouterr().out
+
     def test_run_writes_output_file(self, tmp_path, capsys):
         target = tmp_path / "render.txt"
         assert main(

@@ -7,6 +7,7 @@ from repro.core import PFR, KernelPFR, SpectralFitPlan, fit_path
 from repro.core.plan import Precomputed
 from repro.exceptions import ValidationError
 from repro.graphs import between_group_quantile_graph
+from repro.obs import MetricsRegistry, set_registry
 
 
 def _workload(rng, n=36, m=6):
@@ -113,6 +114,22 @@ class TestStages:
         evals_small, V_small = plan.solve(0.5, 2)
         np.testing.assert_allclose(evals_small, evals_full[:2], atol=1e-10)
         np.testing.assert_allclose(V_small, V_full[:, :2], atol=1e-10)
+
+    def test_solve_cache_counters_have_one_label_set(self, rng):
+        X, WF = _workload(rng)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            fit_path(X, WF, gammas=np.linspace(0.0, 1.0, 50), dims=(1, 2),
+                     estimator=PFR(n_neighbors=4))
+        finally:
+            set_registry(previous)
+        series = [c for c in registry.snapshot()["counters"]
+                  if c["name"].startswith("plan.solve_cache.")]
+        names = [c["name"] for c in series]
+        assert sorted(names) == ["plan.solve_cache.hits", "plan.solve_cache.misses"]
+        assert registry.total("plan.solve_cache.misses") == 50
+        assert registry.total("plan.solve_cache.hits") > 0
 
     def test_solve_validates_gamma_and_d(self, rng):
         X, WF = _workload(rng)

@@ -20,6 +20,7 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.builders import _scaled
+from repro.experiments.figures import _representation_geometry
 
 
 class TestTable1:
@@ -44,7 +45,16 @@ class TestFigure1:
             assert result.data["representations"][method].shape[1] == 2
             geometry = result.data["geometry"][method]
             assert np.isfinite(geometry["cross_group_distance"])
+            assert geometry["degenerate"] is False
         assert "[pfr]" in result.render()
+
+    def test_geometry_of_collapsed_representation_is_degenerate(self):
+        y = np.array([0, 1, 0, 1, 1, 0])
+        s = np.array([0, 0, 0, 1, 1, 1])
+        geometry = _representation_geometry(np.ones((6, 2)), y, s)
+        assert geometry["degenerate"] is True
+        assert np.isnan(geometry["cross_group_distance"])
+        assert np.isnan(geometry["deserving_alignment"])
 
 
 class TestBarFigures:

@@ -10,6 +10,7 @@ floats, not allclose.
 import numpy as np
 import pytest
 
+from repro._cpu import cpu_budget
 from repro.datasets import simulate_admissions
 from repro.exceptions import ValidationError
 from repro.experiments import (
@@ -40,6 +41,10 @@ def _echo(state, task):
 
 def _boom(state, task):
     raise RuntimeError(f"task {task} exploded")
+
+
+def _cpu_budget_task(state, task):
+    return cpu_budget()
 
 
 PROCESS_4 = Executor(backend="process", workers=4)
@@ -112,6 +117,16 @@ class TestExecutor:
         # resolve_backend("auto") must not spin up a pool for one task.
         assert Executor(backend="auto", workers=4).resolve_backend(1) == "serial"
         assert Executor(backend="auto", workers=4).map(_echo, [5]) == [5]
+
+    def test_pool_workers_run_on_one_cpu(self):
+        # Threaded kernels (the exact k-NN query) read this budget, so K
+        # workers never run K x CPUs threads; the parent keeps its own.
+        parent = cpu_budget()
+        assert PROCESS_4.map(_cpu_budget_task, range(8)) == [1] * 8
+        assert cpu_budget() == parent
+
+    def test_available_workers_is_the_cpu_budget(self):
+        assert available_workers is cpu_budget
 
     def test_process_map_propagates_errors(self):
         with pytest.raises(RuntimeError, match="exploded"):

@@ -3,7 +3,8 @@
 Each test pins one claim from the evaluation section, on a moderately
 scaled-down workload so the whole module stays fast. These are the
 reproduction's acceptance tests: if they pass, the shapes of every table
-and figure hold. Paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+and figure hold. README's "Reproducing the paper" section says how to
+regenerate the measured numbers (``python -m repro run <experiment>``).
 """
 
 import numpy as np
@@ -225,8 +226,8 @@ class TestFigure6Claims:
         #  model" — compared on the mean of the FPR and FNR gaps. On this
         #  simulator Hardt+ equalizes nearly exactly (better than in the
         #  paper), so comparability is asserted within 0.1; PFR's residual
-        #  FPR gap on the extreme-base-rate Crime workload is recorded in
-        #  EXPERIMENTS.md.
+        #  FPR gap on the extreme-base-rate Crime workload shows in
+        #  `python -m repro run figure6` (README, "Reproducing the paper").
         results = fig6.data["results"]
         pfr_mean = 0.5 * (
             results["pfr"].rates.gap("fpr") + results["pfr"].rates.gap("fnr")

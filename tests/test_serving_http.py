@@ -7,6 +7,7 @@ needs to send protocol garbage.
 
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -73,6 +74,24 @@ class TestLifecycle:
         srv = ServingServer(TransformService(registry)).start()
         srv.close()
         srv.close()
+
+    def test_close_after_served_connection_logs_no_error(
+        self, registry, caplog
+    ):
+        # A handler cancelled while awaiting wait_closed() used to leak
+        # CancelledError into asyncio's done-callback, which logged
+        # "Exception in callback ..." in a few of every 100 cycles.
+        service = TransformService(registry)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            for _ in range(100):
+                srv = ServingServer(service, n_workers=2).start()
+                conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().status == 200
+                conn.close()
+                srv.close()
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [], errors[0].getMessage()
 
     def test_double_start_rejected(self, server):
         from repro.exceptions import ValidationError
