@@ -1,6 +1,6 @@
 """Ablation — latent dimensionality d on the Crime workload.
 
-DESIGN.md calls out d as the lever that gives γ leverage: d close to the
+The latent dimensionality d is the lever that gives γ leverage: d close to the
 feature count reduces PFR to a rotation (no fairness effect); d too small
 starves the classifier. This ablation traces the whole curve.
 """

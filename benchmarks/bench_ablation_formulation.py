@@ -1,6 +1,6 @@
 """Ablation — the paper's two formulation ambiguities, quantified.
 
-DESIGN.md §5 documents two resolved ambiguities: the orthonormality
+The paper's §3 leaves two formulation ambiguities open: the orthonormality
 constraint (Eq. 5's ``ZZᵀ=I`` vs Eq. 6's ``VᵀV=I``) and the balancing of
 the two graph terms (trace-normalized objectives vs the verbatim
 combination). This bench runs all four combinations on the Crime workload
@@ -49,6 +49,6 @@ def test_bench_ablation_formulation(once):
     default = by_name["constraint=z, rescale=objective"]
     literal = by_name["constraint=v, rescale=none"]
     # The default (Eq. 5 constraint + trace balancing) must dominate the
-    # literal Eq. 6 reading on utility — the null-space pathology DESIGN.md
-    # describes shows up as a large AUC loss.
+    # literal Eq. 6 reading on utility — the null-space pathology the PFR
+    # ``constraint`` docstring describes shows up as a large AUC loss.
     assert default[1] > literal[1] + 0.05

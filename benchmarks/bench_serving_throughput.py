@@ -4,7 +4,7 @@ Measures rows/sec through a :class:`~repro.serving.TransformService` on
 three paths, for both the linear PFR and the KernelPFR:
 
 * **cold**  — one-row-at-a-time loop, every row a cache miss (the naive
-  online pattern the micro-batcher and cache exist to beat);
+  online pattern the bulk path and cache exist to beat);
 * **batched** — one vectorized bulk call over the same rows;
 * **warm**  — the same one-row loop again, every row now a cache hit.
 

@@ -4,8 +4,8 @@ The scale-out workflow on one box, using real subprocesses so each shard
 is exactly what a separate machine would run:
 
 1. write a small COMPAS γ-sweep spec to a JSON file;
-2. launch ``python -m repro experiments run SPEC --store SHARD_i --shard
-   i/2`` for both shards **concurrently** — each computes only the cells
+2. launch ``python -m repro run SPEC --store SHARD_i --shard i/2`` for
+   both shards **concurrently** — each computes only the cells
    whose task digest hashes to its index, into its own store;
 3. ``python -m repro store merge MERGED SHARD_0 SHARD_1`` — the digest-
    keyed union (idempotent: re-running the merge dedupes 100%);
@@ -72,7 +72,7 @@ def main():
     start = time.perf_counter()
     procs = [
         subprocess.Popen(
-            [sys.executable, "-m", "repro", "experiments", "run",
+            [sys.executable, "-m", "repro", "run",
              str(spec_path), "--store", str(root / f"shard{i}"),
              "--shard", f"{i}/{N_SHARDS}"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,

@@ -6,11 +6,9 @@ Usage::
     python -m repro list
     python -m repro run figure2 [--scale 0.5] [--seed 0] [--output out.txt]
     python -m repro run all --scale 0.25
+    python -m repro run spec.yaml [--store DIR] [--workers 4] [--shard I/K]
     python -m repro report crime [--scale 0.5]
 
-    python -m repro experiments list
-    python -m repro experiments run spec.yaml [--store DIR] [--workers 4]
-                                              [--shard I/K]
     python -m repro experiments sweep DATASET [--method pfr] [--workers 4] [--store DIR]
     python -m repro experiments tune DATASET [--methods original,pfr] [--store DIR]
     python -m repro experiments repeat DATASET [--seeds 0,1,2] [--store DIR]
@@ -40,16 +38,19 @@ Usage::
     python -m repro obs summary trace.jsonl [--json]
     python -m repro obs tail trace.jsonl [-n 20]
 
-``run`` executes the experiment's driver, prints the ASCII rendering, and
-optionally writes it to a file. ``list`` shows every experiment with the
-qualitative shapes the reproduction is expected to exhibit. The
-``experiments`` family runs γ-sweeps, the grid-search tuning protocol,
-cross-seed repetition, and whole declarative scenario matrices
-(``experiments run spec.yaml``), with ``--workers`` fanning the
-independent fits out across processes (results are bitwise identical to
-serial) and ``--store`` routing every cell through the content-addressed
-run ledger (:mod:`repro.store`) — interrupted runs resume and extended
-grids pay only their new cells. The ``store`` family inspects and
+``run TARGET`` takes an experiment id (or ``all``) or a run-spec file.
+For an experiment it regenerates the table or figure, prints the ASCII
+rendering, and optionally writes it to a file
+(``--scale``/``--seed``/``--output``). For a spec it runs the whole
+declarative scenario matrix through the content-addressed run ledger
+(:mod:`repro.store`) — ``--store``/``--workers``/``--shard``/``--json``;
+interrupted runs resume and extended grids pay only their new cells. A
+flag of the other form exits 2. ``list`` shows every experiment with the qualitative shapes the
+reproduction is expected to exhibit. The ``experiments`` family runs
+γ-sweeps, the grid-search tuning protocol and cross-seed repetition, with
+``--workers`` fanning the independent fits out across processes (results
+are bitwise identical to serial) and ``--store`` routing every cell
+through the run ledger. The ``store`` family inspects and
 maintains that ledger. The ``models`` family manages the versioned model
 registry (:mod:`repro.serving`) and ``transform`` pushes a CSV of feature
 rows through a registered model.
@@ -71,7 +72,7 @@ with ``X`` (training rows), ``w_fair`` (dense fairness adjacency),
 optional ``X_new`` (the arriving batch for ``refresh``) and optional
 ``X_holdout`` (rollback guard).
 
-Every ``experiments`` subcommand and ``transform`` also accept
+``run``, every ``experiments`` subcommand and ``transform`` also accept
 ``--trace PATH`` (record a JSONL trace of the run via :mod:`repro.obs`,
 readable with ``repro obs summary``) and ``--metrics`` (print the final
 metrics-registry snapshot to stderr). Both are off by default and cost
@@ -110,6 +111,32 @@ def default_store_root() -> Path:
     return _default()
 
 
+def _obs_flags(sub):
+    sub.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="append a JSONL trace of this run to PATH (inspect with "
+             "`repro obs summary PATH`); off by default and free when off",
+    )
+    sub.add_argument(
+        "--metrics", action="store_true",
+        help="print the final metrics snapshot to stderr",
+    )
+
+
+class _RunFlag(argparse.Action):
+    """Store a ``run`` flag and record that it was given, so a flag of the
+    other TARGET form (experiment vs. spec file) can be rejected."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = [*namespace.given, option_string]
+
+
+#: ``run`` flags that only apply to one TARGET form.
+_EXPERIMENT_FLAGS = ("--scale", "--seed", "--output")
+_SPEC_FLAGS = ("--store", "--workers", "--shard", "--json")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -123,16 +150,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list the reproducible experiments")
 
-    run = subparsers.add_parser("run", help="regenerate one experiment (or 'all')")
-    run.add_argument(
-        "experiment",
-        help="experiment id (table1, figure1..figure10) or 'all'",
+    run = subparsers.add_parser(
+        "run",
+        help="regenerate one experiment (or 'all'), or execute a run spec",
     )
-    run.add_argument("--scale", type=float, default=1.0,
-                     help="dataset-size fraction in (0, 1] (default 1.0)")
-    run.add_argument("--seed", type=int, default=0, help="generator seed")
-    run.add_argument("--output", default=None,
-                     help="also write the rendering to this file")
+    run.set_defaults(given=[])
+    run.add_argument(
+        "experiment", metavar="TARGET",
+        help="experiment id (table1, figure1..figure10), 'all', or a run-spec "
+             "file (YAML/JSON scenario matrix, see examples/run_spec.yaml)",
+    )
+    run.add_argument("--scale", type=float, default=1.0, action=_RunFlag,
+                     help="experiments: dataset-size fraction in (0, 1] "
+                          "(default 1.0)")
+    run.add_argument("--seed", type=int, default=0, action=_RunFlag,
+                     help="experiments: generator seed")
+    run.add_argument("--output", default=None, action=_RunFlag,
+                     help="experiments: also write the rendering to this file")
+    run.add_argument(
+        "--store", default=None, action=_RunFlag,
+        help="specs: run-ledger directory "
+             "(default: $REPRO_STORE or ~/.repro/store)",
+    )
+    run.add_argument(
+        "--workers", default=None, action=_RunFlag,
+        help="specs: process fan-out for the missing cells (count or 'auto')",
+    )
+    run.add_argument(
+        "--shard", default=None, metavar="I/K", action=_RunFlag,
+        help="specs: run only shard I of K (cells partitioned by a stable "
+             "hash of each task digest, so K machines with separate stores "
+             "cover the matrix exactly once; union the stores afterwards "
+             "with `repro store merge`)",
+    )
+    run.add_argument("--json", nargs=0, const=True, default=False,
+                     action=_RunFlag,
+                     help="specs: emit the machine-readable run report")
+    _obs_flags(run)
 
     report = subparsers.add_parser(
         "report", help="full §4-style report for one workload"
@@ -308,17 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_sub = experiments.add_subparsers(dest="experiments_command", required=True)
 
-    def _obs_flags(sub):
-        sub.add_argument(
-            "--trace", default=None, metavar="PATH",
-            help="append a JSONL trace of this run to PATH (inspect with "
-                 "`repro obs summary PATH`); off by default and free when off",
-        )
-        sub.add_argument(
-            "--metrics", action="store_true",
-            help="print the final metrics snapshot to stderr",
-        )
-
     def _exp_common(sub):
         sub.add_argument("dataset", choices=["synthetic", "crime", "compas"])
         sub.add_argument("--scale", type=float, default=1.0,
@@ -338,33 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--json", action="store_true",
                          help="emit machine-readable JSON instead of a table")
         _obs_flags(sub)
-
-    exp_sub.add_parser(
-        "list", help="list the paper-experiment registry (tables/figures)"
-    )
-
-    run_spec_cmd = exp_sub.add_parser(
-        "run", help="execute a declarative RunSpec (YAML/JSON scenario matrix)"
-    )
-    run_spec_cmd.add_argument("spec", help="path to a spec file (see examples/run_spec.yaml)")
-    run_spec_cmd.add_argument(
-        "--store", default=None,
-        help="run-ledger directory (default: $REPRO_STORE or ~/.repro/store)",
-    )
-    run_spec_cmd.add_argument(
-        "--workers", default=None,
-        help="process fan-out for the missing cells (count or 'auto')",
-    )
-    run_spec_cmd.add_argument(
-        "--shard", default=None, metavar="I/K",
-        help="run only shard I of K (cells partitioned by a stable hash "
-             "of each task digest, so K machines with separate stores "
-             "cover the matrix exactly once; union the stores afterwards "
-             "with `repro store merge`)",
-    )
-    run_spec_cmd.add_argument("--json", action="store_true",
-                              help="emit the machine-readable run report")
-    _obs_flags(run_spec_cmd)
 
     sweep = exp_sub.add_parser(
         "sweep", help="γ-sweep one method on a workload"
@@ -442,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_merge = store_sub.add_parser(
         "merge",
         help="union source ledgers into DEST (idempotent by digest; "
-             "the scale-out counterpart of `experiments run --shard`)",
+             "the scale-out counterpart of `run SPEC --shard`)",
     )
     store_merge.add_argument("dest", help="destination ledger directory")
     store_merge.add_argument("sources", nargs="+", metavar="SRC",
@@ -491,6 +507,78 @@ def _run_one(experiment_id: str, *, scale: float, seed: int) -> str:
     spec = get_experiment(experiment_id)
     result = spec.driver(scale=scale, seed=seed)
     return result.render()
+
+
+def _run_is_spec(target: str) -> bool:
+    """Whether a ``run`` TARGET names a spec file rather than an experiment."""
+    if target == "all" or target in EXPERIMENTS:
+        return False
+    path = Path(target)
+    return path.suffix.lower() in (".yaml", ".yml", ".json") or path.is_file()
+
+
+def _cmd_run(args) -> int:
+    is_spec = _run_is_spec(args.experiment)
+    wrong = [
+        flag for flag in args.given
+        if flag in (_EXPERIMENT_FLAGS if is_spec else _SPEC_FLAGS)
+    ]
+    if wrong:
+        form = "a spec file" if is_spec else "an experiment"
+        print(f"error: {', '.join(wrong)} cannot be used when TARGET is {form}",
+              file=sys.stderr)
+        return 2
+    if not is_spec:
+        targets = (
+            list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+        )
+        text = "\n\n".join(
+            _run_one(target, scale=args.scale, seed=args.seed)
+            for target in targets
+        )
+        print(text)
+        if args.output:
+            Path(args.output).write_text(text + "\n", encoding="utf-8")
+        return 0
+
+    from .experiments import load_run_spec, run_spec
+    from .experiments.report import render_table
+
+    spec = load_run_spec(args.experiment)
+    store = Path(args.store) if args.store else default_store_root()
+    report = run_spec(
+        spec, store=store, workers=_parse_workers(args.workers),
+        shard=args.shard,
+    )
+    if args.json:
+        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        return 0
+    shard_note = f" [shard {args.shard}]" if args.shard else ""
+    print(
+        f"spec {spec.name!r}{shard_note}: {report.n_total} cells — "
+        f"{report.n_cached} cached, {report.n_computed} computed "
+        f"(hit rate {report.hit_rate:.0%}) [store: {store}]"
+    )
+    if report.aggregates:
+        print(render_table(
+            ["dataset", "method", "gamma", "runs", "AUC", "Cons(WF)",
+             "Cons(WX)", "parity gap"],
+            [[dataset, method, gamma, agg.n_runs, agg.format("auc"),
+              agg.format("consistency_wf"), agg.format("consistency_wx"),
+              agg.format("parity_gap")]
+             for (dataset, method, gamma), agg
+             in report.aggregates.items()],
+        ))
+    else:
+        print(render_table(
+            ["dataset", "method", "gamma", "seed", "AUC", "Cons(WF)",
+             "Cons(WX)", "parity gap"],
+            [[dataset, method, gamma, seed, r.auc, r.consistency_wf,
+              r.consistency_wx, r.rates.gap("positive_rate")]
+             for (dataset, method, gamma, seed), r
+             in report.results.items()],
+        ))
+    return 0
 
 
 def _registry(args):
@@ -879,56 +967,8 @@ def _cmd_experiments(args) -> int:
     from .experiments.builders import WorkloadFactory
     from .experiments.report import render_table
 
-    if args.experiments_command == "list":
-        # The paper-experiment registry (repro.experiments.PaperExperiment).
-        print(render_table(
-            ["id", "dataset", "title", "benchmark"],
-            [[spec.experiment_id, spec.dataset, spec.title, spec.bench_module]
-             for spec in EXPERIMENTS.values()],
-        ))
-        return 0
-
     workers = _parse_workers(args.workers)
-
-    if args.experiments_command == "run":
-        from .experiments import load_run_spec, run_spec
-
-        spec = load_run_spec(args.spec)
-        store = Path(args.store) if args.store else default_store_root()
-        report = run_spec(
-            spec, store=store, workers=workers, shard=args.shard
-        )
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-            return 0
-        shard_note = f" [shard {args.shard}]" if args.shard else ""
-        print(
-            f"spec {spec.name!r}{shard_note}: {report.n_total} cells — "
-            f"{report.n_cached} cached, {report.n_computed} computed "
-            f"(hit rate {report.hit_rate:.0%}) [store: {store}]"
-        )
-        if report.aggregates:
-            print(render_table(
-                ["dataset", "method", "gamma", "runs", "AUC", "Cons(WF)",
-                 "Cons(WX)", "parity gap"],
-                [[dataset, method, gamma, agg.n_runs, agg.format("auc"),
-                  agg.format("consistency_wf"), agg.format("consistency_wx"),
-                  agg.format("parity_gap")]
-                 for (dataset, method, gamma), agg
-                 in report.aggregates.items()],
-            ))
-        else:
-            print(render_table(
-                ["dataset", "method", "gamma", "seed", "AUC", "Cons(WF)",
-                 "Cons(WX)", "parity gap"],
-                [[dataset, method, gamma, seed, r.auc, r.consistency_wf,
-                  r.consistency_wx, r.rates.gap("positive_rate")]
-                 for (dataset, method, gamma, seed), r
-                 in report.results.items()],
-            ))
-        return 0
-
-    store = getattr(args, "store", None)
+    store = args.store
 
     if args.experiments_command == "sweep":
         harness = workload_harness(
@@ -1244,7 +1284,13 @@ def main(argv=None) -> int:
     if args.command == "report":
         from .experiments.summary import workload_report
 
-        text = workload_report(args.dataset, scale=args.scale, seed=args.seed)
+        try:
+            text = workload_report(
+                args.dataset, scale=args.scale, seed=args.seed
+            )
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(text)
         if args.output:
             Path(args.output).write_text(text + "\n", encoding="utf-8")
@@ -1309,20 +1355,17 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
 
-    targets = (
-        list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    )
+    # run
     try:
-        renders = [
-            _run_one(target, scale=args.scale, seed=args.seed)
-            for target in targets
-        ]
-    except KeyError as exc:
+        return _with_obs(args, lambda: _cmd_run(args))
+    except KeyError as exc:  # an unknown experiment id
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-
-    text = "\n\n".join(renders)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    return 0
+    except (ReproError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # Downstream consumer (e.g. `| head`) closed the pipe; redirect
+        # stdout so the interpreter's shutdown flush doesn't raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0

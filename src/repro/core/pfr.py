@@ -71,7 +71,8 @@ class PFR(BaseEstimator, TransformerMixin):
         ``VᵀV = I`` via the standard eigenproblem. The two equations in the
         paper are inconsistent; ``"v"`` is pathological when X has (near-)
         collinear columns because the smallest eigenvectors then live in
-        X's null space where the objective is trivially zero. See DESIGN.md.
+        X's null space where the objective is trivially zero
+        (``benchmarks/bench_ablation_formulation.py`` measures the loss).
     ridge:
         Regularization added to ``XᵀX`` in the ``"z"`` mode to keep the
         generalized problem well-posed for rank-deficient X.

@@ -6,7 +6,6 @@ from .base import Dataset
 from .compas import COMPAS_FEATURES, load_compas, simulate_compas
 from .crime import CRIME_FEATURES, load_crime, simulate_crime
 from .ratings import rating_equivalence_classes, simulate_star_ratings
-from .split import train_test_split
 from .synthetic import ADMISSIONS_FEATURES, simulate_admissions, simulate_blobs
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "ADMISSIONS_FEATURES",
     "simulate_admissions",
     "simulate_blobs",
-    "train_test_split",
 ]

@@ -222,7 +222,7 @@ def simulate_compas(
             "generator": "simulate_compas",
             "substitution": (
                 "synthetic population over the ProPublica schema calibrated "
-                "to Table 1; see DESIGN.md"
+                "to Table 1"
             ),
         },
     )

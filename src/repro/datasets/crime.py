@@ -177,8 +177,7 @@ def simulate_crime(
             "violence_score": violence,
             "n_reviews": n_reviews,
             "substitution": (
-                "latent-factor synthetic population calibrated to Table 1; "
-                "see DESIGN.md"
+                "latent-factor synthetic population calibrated to Table 1"
             ),
         },
     )

@@ -2,9 +2,9 @@
 
 Each entry ties a table/figure of the paper to the driver that regenerates
 it, the workload it runs on, and the qualitative claims ("shapes") the
-reproduction is expected to exhibit. The benchmarks and ``python -m repro
-list`` read this registry; README's "Reproducing the paper" section shows
-how to run each entry.
+reproduction is expected to exhibit. ``python -m repro list`` and
+``python -m repro run`` read this registry; README's "Reproducing the
+paper" section shows how to run each entry.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ class PaperExperiment:
     expected_shapes:
         The qualitative claims the reproduction should reproduce (checked
         by the integration tests in ``tests/test_paper_claims.py``).
-    bench_module:
-        The benchmark file that regenerates the experiment.
     """
 
     experiment_id: str
@@ -47,7 +45,6 @@ class PaperExperiment:
     dataset: str
     driver: object
     expected_shapes: tuple
-    bench_module: str
 
 
 #: Deprecated alias (pre-PR-5 name); prefer :class:`PaperExperiment`.
@@ -65,7 +62,6 @@ EXPERIMENTS = {
             "crime: 1993 communities, 1423/570, base rates ≈ 0.35/0.86",
             "compas: 8803 offenders, 4218/4585, base rates ≈ 0.41/0.55",
         ),
-        "benchmarks/bench_table1_datasets.py",
     ),
     "figure1": PaperExperiment(
         "figure1",
@@ -77,7 +73,6 @@ EXPERIMENTS = {
             "ifair/lfr/pfr: groups well-mixed (ratio ≈ 1)",
             "pfr only: deserving individuals of both groups aligned",
         ),
-        "benchmarks/bench_fig1_representations.py",
     ),
     "figure2": PaperExperiment(
         "figure2",
@@ -89,7 +84,6 @@ EXPERIMENTS = {
             "PFR AUC >= other learned representations",
             "all methods reach high Consistency(WX)",
         ),
-        "benchmarks/bench_fig2_synthetic_tradeoff.py",
     ),
     "figure3": PaperExperiment(
         "figure3",
@@ -100,7 +94,6 @@ EXPERIMENTS = {
             "original: substantial parity and error-rate gaps",
             "pfr: near-equal positive rates and error rates, comparable to hardt",
         ),
-        "benchmarks/bench_fig3_synthetic_group_fairness.py",
     ),
     "figure4": PaperExperiment(
         "figure4",
@@ -112,7 +105,6 @@ EXPERIMENTS = {
             "gamma ↑ ⇒ Consistency(WX) ↓",
             "gamma ↑ ⇒ AUC ↑ (fairness graph aligned with ground truth)",
         ),
-        "benchmarks/bench_fig4_synthetic_gamma.py",
     ),
     "figure5": PaperExperiment(
         "figure5",
@@ -123,7 +115,6 @@ EXPERIMENTS = {
             "PFR wins Consistency(WF)",
             "PFR pays some AUC and Consistency(WX) relative to Original+",
         ),
-        "benchmarks/bench_fig5_crime_tradeoff.py",
     ),
     "figure6": PaperExperiment(
         "figure6",
@@ -134,7 +125,6 @@ EXPERIMENTS = {
             "PFR: near-equal positive rates across groups",
             "PFR error-rate balance comparable to Hardt+",
         ),
-        "benchmarks/bench_fig6_crime_group_fairness.py",
     ),
     "figure7": PaperExperiment(
         "figure7",
@@ -145,7 +135,6 @@ EXPERIMENTS = {
             "gamma ↑ ⇒ Consistency(WF) ↑, Consistency(WX) ↓",
             "gamma ↑ ⇒ overall AUC ↓ while the group AUC gap narrows",
         ),
-        "benchmarks/bench_fig7_crime_gamma.py",
     ),
     "figure8": PaperExperiment(
         "figure8",
@@ -157,7 +146,6 @@ EXPERIMENTS = {
             "individual fairness (§4.3.3: 'performs similarly')",
             "PFR beats the unconstrained baselines on Consistency(WF)",
         ),
-        "benchmarks/bench_fig8_compas_tradeoff.py",
     ),
     "figure9": PaperExperiment(
         "figure9",
@@ -167,7 +155,6 @@ EXPERIMENTS = {
         (
             "PFR: near-equal positive rates and error rates, as good as Hardt+",
         ),
-        "benchmarks/bench_fig9_compas_group_fairness.py",
     ),
     "figure10": PaperExperiment(
         "figure10",
@@ -178,7 +165,6 @@ EXPERIMENTS = {
             "gamma ↑ ⇒ Consistency(WF) ↑, Consistency(WX) ↓",
             "gamma ↑ ⇒ overall AUC ↓, protected-group AUC gap narrows",
         ),
-        "benchmarks/bench_fig10_compas_gamma.py",
     ),
 }
 

@@ -19,6 +19,8 @@ keep regeneration fast and deterministic.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +45,14 @@ from ..ml import (
     train_test_split,
 )
 from ..ml.model_selection import ParameterGrid, StratifiedKFold
+from ..obs.trace import span, trace_enabled
 from .parallel import get_executor
 
 __all__ = [
     "MethodResult",
     "ExperimentHarness",
     "cell_task",
+    "run_cells",
     "within_group_ranking_scores",
 ]
 
@@ -89,24 +93,130 @@ def _ledger_fetch(ledger, digest: str):
     return entry
 
 
-# -- executor task functions (module-level so process backends can pickle
-#    them by reference; each is a pure function of (state, task)) ----------
+def _dispatch(fn, groups, *, state, workers=None, ledger=None, digests=None,
+              stored=None) -> list:
+    """Map ``fn(state, (head, items))`` over groups: the one skip/dispatch/
+    read-back path of every fan-out.
 
-def _run_method_task(state, method):
-    harness, gamma, kwargs = state
-    return harness.run_method(method, gamma=gamma, **kwargs)
+    Without a ledger this is a plain executor map and returns ``fn``'s
+    per-group result lists. With one, ``digests`` holds each item's task
+    digest; items already ``stored`` (default: probed with
+    :meth:`~repro.store.RunLedger.contains`) are dropped before dispatch,
+    groups left empty are not dispatched at all, and the per-group lists
+    of ledger entries are returned instead — so cold, warm, resumed and
+    parallel runs all read back the identical bytes.
+    """
+    executor = get_executor(workers)
+    if ledger is None:
+        return executor.map(fn, groups, state=state)
+    if stored is None:
+        stored = {d for ds in digests for d in ds if ledger.contains(d)}
+    pending = []
+    for (head, items), ds in zip(groups, digests):
+        missing = [item for item, d in zip(items, ds) if d not in stored]
+        if missing:
+            pending.append((head, missing))
+    executor.map(fn, pending, state=state)
+    return [[_ledger_fetch(ledger, d) for d in ds] for ds in digests]
 
 
-def _gamma_sweep_task(state, gamma):
-    harness, method, kwargs = state
-    return harness.run_method(method, gamma=gamma, **kwargs)
+# -- the cell executor ------------------------------------------------------
+#
+# Every number of §4 is one *cell*: a dataset slice evaluated for one method
+# at one γ. A task is a group of cells on one slice, ``((seed, source),
+# [(method, gamma, C, params, digest), ...])``; each fan-out chooses its
+# own grouping (repetition one group per seed, everything else one group
+# per cell). ``source`` names where the slice's harness comes from:
+#
+# * ``None`` — the harness shipped in the executor state (``run_methods``
+#   and ``gamma_sweep`` fan out over one harness);
+# * a :class:`~repro.datasets.Dataset` — built for this group only, so
+#   repetition keeps one seed's harness alive at a time;
+# * a :class:`~repro.experiments.WorkloadFactory` — rebuilt lazily, once
+#   per process, and reused by every later group on the same slice, so run
+#   specs ship no data to their workers at all.
 
+def _cell(fingerprint, method, gamma, C, params) -> tuple:
+    """One cell; its task digest is computed only when a ledger needs it."""
+    from ..store import task_digest
 
-def _tune_grid_task(state, params):
-    harness, method, n_splits, scoring = state
-    return harness._score_grid_point(
-        method, params, n_splits=n_splits, scoring=scoring
+    digest = (
+        None if fingerprint is None
+        else task_digest(cell_task(fingerprint, method, gamma, C, params))
     )
+    return (method, gamma, C, params, digest)
+
+
+def _slice_harness(state, seed, source):
+    if source is None:
+        return state["harness"]
+    if isinstance(source, Dataset):
+        return ExperimentHarness(source, seed=seed, **state["harness_kwargs"])
+    harnesses = state["harnesses"]
+    harness = harnesses.get((source, seed))
+    if harness is None:
+        harness = ExperimentHarness(
+            source(seed), seed=seed, **state["harness_kwargs"]
+        )
+        harnesses[(source, seed)] = harness
+    return harness
+
+
+def _cell_group_task(state, group):
+    (seed, source), cells = group
+    harness = _slice_harness(state, seed, source)
+    traced = state.get("cell_spans") and trace_enabled()
+    results = []
+    for method, gamma, C, params, digest in cells:
+        scope = contextlib.nullcontext()
+        if traced:
+            # Shard-labeled spans: a merged multi-machine trace stays
+            # attributable to the shard that computed each cell.
+            shard = {} if state["shard"] is None else {"shard": state["shard"]}
+            scope = span(
+                "spec.cell", digest=digest, dataset=source.name,
+                method=method, gamma=float(gamma), seed=int(seed),
+                cached=False, worker=os.getpid(), **shard,
+            )
+        with scope:
+            results.append(harness.run_method(method, gamma=gamma, C=C, **params))
+    return results
+
+
+def run_cells(groups, *, state: dict, workers=None, ledger=None,
+              stored=None) -> list:
+    """Evaluate cell groups; returns one ``MethodResult`` list per group.
+
+    ``state`` ships once per worker: ``{"harness": h}`` for ``None``
+    sources, else ``{"harness_kwargs": {...}}`` plus ``"harnesses": {}``
+    for workload-factory slices (and ``"cell_spans"``/``"shard"`` to trace
+    each cell as a ``spec.cell`` span). With a ``ledger``, stored cells
+    (or the digests in ``stored``) are skipped before dispatch and every
+    result is decoded from the ledger.
+    """
+    if ledger is None:
+        return _dispatch(_cell_group_task, groups, state=state, workers=workers)
+    from ..store import decode_method_result
+
+    entries = _dispatch(
+        _cell_group_task, groups, state=state, workers=workers, ledger=ledger,
+        digests=[[cell[-1] for cell in cells] for _, cells in groups],
+        stored=stored,
+    )
+    return [
+        [decode_method_result(entry.payload) for entry in group]
+        for group in entries
+    ]
+
+
+def _tune_grid_task(state, group):
+    harness, method, n_splits, scoring = state
+    return [
+        harness._score_grid_point(
+            method, params, n_splits=n_splits, scoring=scoring
+        )
+        for params in group[1]
+    ]
 
 
 def within_group_ranking_scores(X, y, s, *, C: float = 1.0) -> np.ndarray:
@@ -286,20 +396,6 @@ class ExperimentHarness:
             "method_overrides": self.method_overrides,
         }
 
-    def _cell_task(self, method: str, gamma, C, method_params: dict) -> dict:
-        return cell_task(
-            self.task_fingerprint(), method, gamma, C, method_params
-        )
-
-    def _cell_digest(self, method: str, kwargs: dict) -> str:
-        """Digest of one ``run_method`` call expressed as sweep kwargs."""
-        from ..store import task_digest
-
-        kwargs = dict(kwargs)
-        gamma = kwargs.pop("gamma", 0.5)
-        C = kwargs.pop("C", 1.0)
-        return task_digest(self._cell_task(method, gamma, C, kwargs))
-
     # -- data preparation --------------------------------------------------
 
     def prepare(self) -> "ExperimentHarness":
@@ -401,16 +497,19 @@ class ExperimentHarness:
 
     def _fit_base_estimator(
         self, base: str, X_train, *, gamma: float, method_params: dict,
-        augment: bool = False,
+        augment: bool = False, fold=None,
     ):
         """Construct and fit the representation estimator for a base method.
 
         ``X_train`` is the (possibly augmented) training matrix the
         estimator should see; ``method_params`` must already include the
         harness ``method_overrides``. Shared by :meth:`_representation`
-        (which then transforms train/test) and :meth:`export_model` (which
-        persists the fitted estimator into a run ledger).
+        (which then transforms train/test), :meth:`export_model` (which
+        persists the fitted estimator into a run ledger) and
+        :meth:`_tune_fold`, which passes the CV ``fold`` rows of the
+        training split that ``X_train`` holds.
         """
+        n_rows = X_train.shape[0]
         if base == "original":
             masker = MaskedRepresentation(protected_columns=self.protected)
             return masker.fit(X_train)
@@ -423,11 +522,11 @@ class ExperimentHarness:
             model = PFR(
                 n_components=min(self.n_components_, X_train.shape[1]),
                 gamma=gamma,
-                n_neighbors=self.n_neighbors,
+                n_neighbors=min(self.n_neighbors, n_rows - 1),
                 exclude_columns=self.protected,
-                **{**self._landmark_params(len(self.train_idx)), **method_params},
+                **{**self._landmark_params(n_rows), **method_params},
             )
-            self._plan_fit(model, X_train, base, augment, method_params)
+            self._plan_fit(model, X_train, base, augment, method_params, fold)
             return model
 
         if base == "kpfr":
@@ -435,12 +534,12 @@ class ExperimentHarness:
             from ..core import KernelPFR
 
             params = {"kernel": "rbf", "n_neighbors": self.n_neighbors}
-            params.update(self._landmark_params(len(self.train_idx)))
+            params.update(self._landmark_params(n_rows))
             params.update(method_params)
             capacity = (
-                min(int(params["landmarks"]), X_train.shape[0])
+                min(int(params["landmarks"]), n_rows)
                 if params.get("extension") == "nystrom"
-                else X_train.shape[0]
+                else n_rows
             )
             model = KernelPFR(
                 n_components=min(self.n_components_, capacity - 1),
@@ -448,7 +547,7 @@ class ExperimentHarness:
                 exclude_columns=self.protected,
                 **params,
             )
-            self._plan_fit(model, X_train, base, augment, method_params)
+            self._plan_fit(model, X_train, base, augment, method_params, fold)
             return model
 
         if base == "ifair":
@@ -460,8 +559,9 @@ class ExperimentHarness:
         if base == "lfr":
             params = {"n_prototypes": 10, "max_iter": 150, "seed": self.seed}
             params.update(method_params)
+            rows = slice(None) if fold is None else fold
             model = LFR(**params)
-            return model.fit(X_train, self.y_train, s=self.s_train)
+            return model.fit(X_train, self.y_train[rows], s=self.s_train[rows])
 
         raise ValidationError(
             f"unknown method {base!r}; use original/ifair/lfr/pfr/kpfr "
@@ -531,7 +631,9 @@ class ExperimentHarness:
             "landmark_seed": self.seed,
         }
 
-    def _plan_fit(self, model, X_train, base, augment, method_params) -> None:
+    def _plan_fit(
+        self, model, X_train, base, augment, method_params, fold=None
+    ) -> None:
         """Fit a PFR-family model through a cached fit plan.
 
         The plan (graphs, Laplacians, projected objective matrices — and,
@@ -541,7 +643,9 @@ class ExperimentHarness:
         only the γ-mix and the eigensolve run per call. Exact models get a
         :class:`~repro.core.SpectralFitPlan`, landmark models a
         :class:`~repro.core.LandmarkPlan` (chosen by
-        :func:`~repro.core.plan_for_estimator`).
+        :func:`~repro.core.plan_for_estimator`). A CV ``fold`` plans on
+        the fold's rows of ``WF`` and lives in the per-search
+        ``_tune_plan_cache``, keyed on the fold rows as well.
         """
         key = (
             base,
@@ -550,10 +654,16 @@ class ExperimentHarness:
             getattr(model, "extension", "exact"),
             getattr(model, "landmarks", None),
         )
-        plan = self._plan_cache.get(key)
+        cache, W_fair = self._plan_cache, self.W_fair_train
+        if fold is not None:
+            key += (np.asarray(fold).tobytes(),)
+            cache = self._tune_plan_cache
+        plan = cache.get(key)
         if plan is None:
-            plan = plan_for_estimator(model, X_train, self.W_fair_train)
-            self._plan_cache[key] = plan
+            if fold is not None:
+                W_fair = restrict_graph(W_fair, fold)
+            plan = plan_for_estimator(model, X_train, W_fair)
+            cache[key] = plan
         plan.fit(model)
 
     # -- evaluation --------------------------------------------------------
@@ -592,7 +702,7 @@ class ExperimentHarness:
             )
         from ..store import decode_method_result, encode_method_result
 
-        task = self._cell_task(method, gamma, C, method_params)
+        task = cell_task(self.task_fingerprint(), method, gamma, C, method_params)
         entry = ledger.get_task(task)
         if entry is None:
             result = self._run_method_direct(
@@ -644,6 +754,17 @@ class ExperimentHarness:
         result.extras["expected_error"] = post.expected_error_
         return result
 
+    def _run_cells(self, cells, workers) -> list:
+        """Fan ``(method, gamma, C, params)`` cells on this harness out, one
+        group per cell, through :func:`run_cells`."""
+        ledger = self._ledger()
+        fingerprint = self.task_fingerprint() if ledger is not None else None
+        groups = [((None, None), [_cell(fingerprint, *cell)]) for cell in cells]
+        results = run_cells(
+            groups, state={"harness": self}, workers=workers, ledger=ledger
+        )
+        return [result for (result,) in results]
+
     def run_methods(
         self, methods, *, gamma: float = 0.5, workers=None, **kwargs
     ) -> dict:
@@ -658,27 +779,11 @@ class ExperimentHarness:
         """
         self.prepare()
         methods = list(methods)
-        ledger = self._ledger()
-        if ledger is None:
-            results = get_executor(workers).map(
-                _run_method_task, methods, state=(self, gamma, kwargs)
-            )
-            return dict(zip(methods, results))
-        from ..store import decode_method_result
-
-        digests = [
-            self._cell_digest(m, {**kwargs, "gamma": gamma}) for m in methods
-        ]
-        missing = [
-            m for m, d in zip(methods, digests) if not ledger.contains(d)
-        ]
-        get_executor(workers).map(
-            _run_method_task, missing, state=(self, gamma, kwargs)
+        C = kwargs.pop("C", 1.0)
+        results = self._run_cells(
+            [(method, gamma, C, kwargs) for method in methods], workers
         )
-        return {
-            m: decode_method_result(_ledger_fetch(ledger, d).payload)
-            for m, d in zip(methods, digests)
-        }
+        return dict(zip(methods, results))
 
     def gamma_sweep(
         self, gammas, *, method: str = "pfr", workers=None, **kwargs
@@ -699,26 +804,12 @@ class ExperimentHarness:
         """
         self.prepare()
         gammas = [float(g) for g in gammas]
-        ledger = self._ledger()
-        if ledger is None:
-            return get_executor(workers).map(
-                _gamma_sweep_task, gammas, state=(self, method, kwargs)
-            )
-        from ..store import decode_method_result
-
-        digests = [
-            self._cell_digest(method, {**kwargs, "gamma": g}) for g in gammas
-        ]
-        missing = [
-            g for g, d in zip(gammas, digests) if not ledger.contains(d)
-        ]
-        get_executor(workers).map(
-            _gamma_sweep_task, missing, state=(self, method, kwargs)
+        if len(set(gammas)) != len(gammas):
+            raise ValidationError(f"gammas contains duplicates: {gammas}")
+        C = kwargs.pop("C", 1.0)
+        return self._run_cells(
+            [(method, gamma, C, kwargs) for gamma in gammas], workers
         )
-        return [
-            decode_method_result(_ledger_fetch(ledger, d).payload)
-            for d in digests
-        ]
 
     # -- hyper-parameter tuning (the paper's 5-fold grid search) -----------
 
@@ -750,32 +841,25 @@ class ExperimentHarness:
         self._tune_plan_cache = {}
         grid_points = [dict(params) for params in ParameterGrid(param_grid)]
         ledger = self._ledger()
-        if ledger is None:
-            mean_scores = get_executor(workers).map(
-                _tune_grid_task, grid_points,
-                state=(self, method, n_splits, scoring),
-            )
-        else:
-            # Skip already-ledgered grid points before dispatch, then
-            # rebuild the score vector from ledger queries — a re-run of a
-            # finished (or widened) grid pays only the new points.
+        digests = None
+        if ledger is not None:
+            # Already-ledgered grid points are skipped before dispatch, so
+            # a re-run of a finished (or widened) grid pays only new points.
             from ..store import task_digest
 
             digests = [
-                task_digest(self._grid_point_task(method, p, n_splits, scoring))
+                [task_digest(self._grid_point_task(method, p, n_splits, scoring))]
                 for p in grid_points
             ]
-            missing = [
-                p for p, d in zip(grid_points, digests)
-                if not ledger.contains(d)
-            ]
-            get_executor(workers).map(
-                _tune_grid_task, missing, state=(self, method, n_splits, scoring)
-            )
-            mean_scores = [
-                float(_ledger_fetch(ledger, d).payload["mean_score"])
-                for d in digests
-            ]
+        out = _dispatch(
+            _tune_grid_task, [(None, [p]) for p in grid_points],
+            state=(self, method, n_splits, scoring), workers=workers,
+            ledger=ledger, digests=digests,
+        )
+        mean_scores = [
+            score if ledger is None else float(score.payload["mean_score"])
+            for (score,) in out
+        ]
         results = []
         best = {"best_params": None, "best_score": -np.inf}
         for params, mean_score in zip(grid_points, mean_scores):
@@ -847,49 +931,14 @@ class ExperimentHarness:
         """Score one CV fold: representation and classifier trained on the
         fit part, scored on the validation part."""
         base = method.rstrip("+")
+        if base not in ("original", "pfr", "ifair", "lfr"):
+            raise ValidationError(f"tune() does not support method {method!r}")
         X_fit, X_val = self.X_train[fit_rows], self.X_train[val_rows]
         y_fit, y_val = self.y_train[fit_rows], self.y_train[val_rows]
-        s_fit = self.s_train[fit_rows]
-
-        if base == "original":
-            masker = MaskedRepresentation(protected_columns=self.protected)
-            Z_fit, Z_val = masker.fit_transform(X_fit), None
-            Z_val = masker.transform(X_val)
-        elif base == "pfr":
-            model = PFR(
-                n_components=min(self.n_components_, X_fit.shape[1]),
-                gamma=gamma,
-                n_neighbors=min(self.n_neighbors, len(fit_rows) - 1),
-                exclude_columns=self.protected,
-                **{**self._landmark_params(len(fit_rows)), **params},
-            )
-            key = (
-                np.asarray(fit_rows).tobytes(),
-                repr(sorted(params.items())),
-                model.extension,
-                model.landmarks,
-            )
-            plan = self._tune_plan_cache.get(key)
-            if plan is None:
-                W_fit = restrict_graph(self.W_fair_train, fit_rows)
-                plan = plan_for_estimator(model, X_fit, W_fit)
-                self._tune_plan_cache[key] = plan
-            plan.fit(model)
-            Z_fit, Z_val = model.transform(X_fit), model.transform(X_val)
-        elif base == "ifair":
-            defaults = {"n_prototypes": 10, "max_iter": 100, "seed": self.seed}
-            defaults.update(params)
-            model = IFair(protected_columns=self.protected, **defaults)
-            Z_fit = model.fit_transform(X_fit)
-            Z_val = model.transform(X_val)
-        elif base == "lfr":
-            defaults = {"n_prototypes": 10, "max_iter": 150, "seed": self.seed}
-            defaults.update(params)
-            model = LFR(**defaults)
-            model.fit(X_fit, y_fit, s=s_fit)
-            Z_fit, Z_val = model.transform(X_fit), model.transform(X_val)
-        else:
-            raise ValidationError(f"tune() does not support method {method!r}")
+        model = self._fit_base_estimator(
+            base, X_fit, gamma=gamma, method_params=params, fold=fit_rows
+        )
+        Z_fit, Z_val = model.transform(X_fit), model.transform(X_val)
 
         scaler = StandardScaler().fit(Z_fit)
         Z_fit, Z_val = scaler.transform(Z_fit), scaler.transform(Z_val)

@@ -8,10 +8,10 @@ form reviewers expect.
 Seeds are the natural parallel axis: every seed's pipeline (data draw,
 split, graphs, fits, evaluation) is independent of every other's. All
 ``repeat_*`` functions accept ``workers`` and fan seeds out across
-processes through :class:`~repro.experiments.parallel.Executor`; each
-worker runs whole seeds, so the per-seed staged-fit reuse (one
-:class:`~repro.core.SpectralFitPlan` per γ-sweep) is preserved, and the
-aggregates are bitwise identical to a serial run.
+processes through :func:`~repro.experiments.harness.run_cells`, one cell
+group per seed; each worker runs whole seeds, so the per-seed staged-fit
+reuse (one :class:`~repro.core.SpectralFitPlan` per γ-sweep) is
+preserved, and the aggregates are bitwise identical to a serial run.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ValidationError
-from .harness import ExperimentHarness
-from .parallel import get_executor, spawn_seeds
+from ..store import coerce_ledger
+from .harness import ExperimentHarness, _cell, run_cells
+from .parallel import spawn_seeds
 
 __all__ = [
     "AggregateResult",
@@ -93,7 +94,8 @@ def _normalize_seeds(seeds) -> tuple[int, ...]:
     ``n`` independent seeds deterministically via
     :func:`~repro.experiments.parallel.spawn_seeds` (root 0). Rejects
     empty sequences up front — downstream aggregation would otherwise die
-    with an inscrutable ``IndexError``.
+    with an inscrutable ``IndexError`` — and duplicates, which would pass
+    one draw off as several and report a spread of zero as error bars.
     """
     if isinstance(seeds, (int, np.integer)):
         count = int(seeds)
@@ -108,57 +110,42 @@ def _normalize_seeds(seeds) -> tuple[int, ...]:
             "repetition needs at least two seeds; got "
             + (f"{len(seeds)}" if seeds else "an empty seeds sequence")
         )
+    if len(set(seeds)) != len(seeds):
+        raise ValidationError(f"seeds contains duplicates: {list(seeds)}")
     return seeds
 
 
-# -- executor task functions (module-level for process-backend pickling) ---
+def _repeat(dataset_factory, seeds, cells, harness_kwargs, store, workers):
+    """Run the same ``(method, gamma, C, params)`` cells on every seed's
+    slice; returns one result list per seed, in seed order.
 
-def _repeat_method_task(state, task):
-    method, gamma, harness_kwargs, method_params = state
-    seed, dataset = task
-    harness = ExperimentHarness(dataset, seed=seed, **harness_kwargs)
-    return harness.run_method(method, gamma=gamma, **method_params)
-
-
-def _repeat_methods_task(state, task):
-    methods, gamma, harness_kwargs = state
-    seed, dataset = task
-    harness = ExperimentHarness(dataset, seed=seed, **harness_kwargs)
-    return [
-        harness.run_method(method, gamma=gamma) for method in methods
-    ]
-
-
-def _repeat_sweep_task(state, task):
-    gammas, method, harness_kwargs, method_params = state
-    seed, dataset = task
-    harness = ExperimentHarness(dataset, seed=seed, **harness_kwargs)
-    return harness.gamma_sweep(gammas, method=method, **method_params)
-
-
-def _harness_kwargs(harness_kwargs: dict | None, store) -> dict:
-    """Merge an explicit ``store`` into the per-seed harness kwargs.
-
-    A ledger is just a root path, so it pickles with the executor state
-    and every worker's harness writes through to the same on-disk store —
-    which is what makes a killed multi-seed run resumable at cell
-    granularity.
+    The factory is the one argument users routinely pass as a lambda,
+    which a process backend could not pickle, so it is called here, in
+    seed order: each group ships plain data (seed, Dataset), and its
+    harness lives only as long as the group. An explicit ``store`` joins
+    the harness kwargs (a ledger is just a root path), so every worker
+    writes through to the same on-disk ledger and a killed repetition
+    resumes at cell granularity.
     """
     kwargs = dict(harness_kwargs or {})
     if store is not None:
         kwargs["store"] = store
-    return kwargs
-
-
-def _seed_tasks(dataset_factory, seeds) -> list:
-    """Materialize per-seed datasets in the parent, in seed order.
-
-    The factory is the one argument users routinely pass as a lambda, which
-    a process backend could not pickle; calling it up front keeps the
-    workers' inputs plain data (seed, Dataset) and keeps the draw order
-    identical to a serial run.
-    """
-    return [(seed, dataset_factory(seed)) for seed in seeds]
+    ledger = coerce_ledger(kwargs.get("store"))
+    groups = []
+    for seed in seeds:
+        dataset = dataset_factory(seed)
+        fingerprint = None
+        if ledger is not None:
+            fingerprint = ExperimentHarness(
+                dataset, seed=seed, **kwargs
+            ).task_fingerprint()
+        groups.append(
+            ((seed, dataset), [_cell(fingerprint, *cell) for cell in cells])
+        )
+    return run_cells(
+        groups, state={"harness_kwargs": kwargs}, workers=workers,
+        ledger=ledger,
+    )
 
 
 def repeat_method(
@@ -198,11 +185,12 @@ def repeat_method(
         killed repetition resumes at the missing seeds' cells.
     """
     seeds = _normalize_seeds(seeds)
-    state = (method, gamma, _harness_kwargs(harness_kwargs, store), method_params)
-    results = get_executor(workers).map(
-        _repeat_method_task, _seed_tasks(dataset_factory, seeds), state=state
+    C = method_params.pop("C", 1.0)
+    per_seed = _repeat(
+        dataset_factory, seeds, [(method, gamma, C, method_params)],
+        harness_kwargs, store, workers,
     )
-    return _collect(results)
+    return _collect(result for (result,) in per_seed)
 
 
 def repeat_gamma_sweep(
@@ -235,12 +223,11 @@ def repeat_gamma_sweep(
         # per-γ aggregation keys on the value; duplicates would silently
         # merge and double-count n_runs.
         raise ValidationError(f"gammas contains duplicates: {gammas}")
-    state = (
-        tuple(gammas), method, _harness_kwargs(harness_kwargs, store),
-        method_params,
-    )
-    sweeps = get_executor(workers).map(
-        _repeat_sweep_task, _seed_tasks(dataset_factory, seeds), state=state
+    C = method_params.pop("C", 1.0)
+    sweeps = _repeat(
+        dataset_factory, seeds,
+        [(method, gamma, C, method_params) for gamma in gammas],
+        harness_kwargs, store, workers,
     )
     return {
         gamma: _collect([sweep[i] for sweep in sweeps])
@@ -261,9 +248,9 @@ def repeat_methods(
     """Aggregate several methods on the same per-seed datasets and splits."""
     seeds = _normalize_seeds(seeds)
     methods = tuple(methods)
-    state = (methods, gamma, _harness_kwargs(harness_kwargs, store))
-    per_seed = get_executor(workers).map(
-        _repeat_methods_task, _seed_tasks(dataset_factory, seeds), state=state
+    per_seed = _repeat(
+        dataset_factory, seeds, [(method, gamma, 1.0, {}) for method in methods],
+        harness_kwargs, store, workers,
     )
     return {
         method: _collect([row[i] for row in per_seed])

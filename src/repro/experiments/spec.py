@@ -2,9 +2,9 @@
 
 A :class:`RunSpec` expresses the paper's experiment grids — datasets ×
 methods × γ values × seeds — as data (a dataclass, loadable from YAML or
-JSON), and :func:`run_spec` compiles it into the flat cell list the
-PR-4 :class:`~repro.experiments.parallel.Executor` fans out. Every cell is
-keyed by its content-addressed task digest in a
+JSON), and :func:`run_spec` compiles it into the flat cell list the cell
+executor (:func:`~repro.experiments.harness.run_cells`) fans out. Every
+cell is keyed by its content-addressed task digest in a
 :class:`~repro.store.RunLedger`, and completed digests are skipped
 *before* dispatch, which buys three properties for free:
 
@@ -31,14 +31,13 @@ Example spec (YAML)::
     method_params:
       pfr: {C: 1.0}
 
-Run it with ``repro experiments run spec.yaml --store DIR`` or
+Run it with ``repro run spec.yaml --store DIR`` or
 :func:`run_spec`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,10 +45,10 @@ from pathlib import Path
 from ..exceptions import ValidationError
 from ..obs.metrics import get_registry
 from ..obs.trace import emit_metrics, span, trace_enabled
-from ..store import RunLedger, coerce_ledger, decode_method_result, task_digest
+from ..store import RunLedger, coerce_ledger, task_digest
 from .builders import WorkloadFactory
-from .harness import ExperimentHarness, cell_task
-from .parallel import get_executor, spawn_seeds
+from .harness import ExperimentHarness, cell_task, run_cells
+from .parallel import spawn_seeds
 from .repetition import _collect
 
 __all__ = [
@@ -494,51 +493,11 @@ def compile_cells(spec: RunSpec, *, ledger: RunLedger | None = None) -> list:
     return cells
 
 
-# -- executor task function (module-level for process-backend pickling) ----
-
-def _spec_cell_task(state, task):
-    """Run one cell; harnesses are rebuilt lazily, once per slice.
-
-    ``state`` ships only the harness kwargs and the ledger (a root path) —
-    never materialized datasets — so a worker pays for exactly the
-    dataset × seed slices it executes, rebuilding each deterministically
-    from its :class:`~repro.experiments.WorkloadFactory` and caching the
-    prepared harness in its own copy of ``state`` so every later cell on
-    the same slice reuses the staged fit plans.
-    """
-    dataset_name, scale, seed, method, gamma, C, params, digest = task
-    key = (dataset_name, scale, seed)
-    harness = state["harnesses"].get(key)
-    if harness is None:
-        harness = ExperimentHarness(
-            WorkloadFactory(dataset_name, scale=scale)(seed),
-            seed=seed, store=state["store"], **state["harness_kwargs"],
-        )
-        state["harnesses"][key] = harness
-    if not trace_enabled():
-        return harness.run_method(method, gamma=gamma, C=C, **params)
-    attrs = {
-        "digest": digest,
-        "dataset": dataset_name,
-        "method": method,
-        "gamma": float(gamma),
-        "seed": int(seed),
-        "cached": False,
-        "worker": os.getpid(),
-    }
-    if state.get("shard") is not None:
-        # Shard-labeled spans: a merged multi-machine trace stays
-        # attributable to the shard that computed each cell.
-        attrs["shard"] = state["shard"]
-    with span("spec.cell", **attrs):
-        return harness.run_method(method, gamma=gamma, C=C, **params)
-
-
 def run_spec(spec: RunSpec, *, store, workers=None, shard=None) -> RunReport:
     """Execute a :class:`RunSpec` (or one shard of it) through a run ledger.
 
     Compiles the matrix to cells, skips every digest already in the
-    ledger, fans the missing cells out through the PR-4 executor (workers
+    ledger, fans the missing cells out through the cell executor (workers
     rebuild each dataset × seed slice's harness lazily from its workload
     factory and reuse it for every cell of that slice, so the staged-fit
     γ amortization survives the fan-out without shipping datasets), and
@@ -613,20 +572,12 @@ def _run_spec_inner(
     for method in spec.methods:
         params = dict(spec.method_params.get(method, {}))
         method_call[method] = (float(params.pop("C", 1.0)), params)
-    pending = [
-        (
-            cell["dataset"], cell["scale"], cell["seed"], cell["method"],
-            cell["gamma"], method_call[cell["method"]][0],
-            method_call[cell["method"]][1], cell["digest"],
-        )
-        for cell in cells
-        if not cell["cached"]
-    ]
+    n_pending = sum(1 for cell in cells if not cell["cached"])
 
     run_span.set(
         total=len(cells),
-        cached=len(cells) - len(pending),
-        computed=len(pending),
+        cached=len(cells) - n_pending,
+        computed=n_pending,
     )
     if shard_label is not None:
         # Shard-labeled metrics: a fleet scraping one registry can tell
@@ -634,29 +585,34 @@ def _run_spec_inner(
         registry = get_registry()
         registry.inc("spec.shard.cells", len(cells),
                      name=spec.name, shard=shard_label)
-        registry.inc("spec.shard.computed", len(pending),
+        registry.inc("spec.shard.computed", n_pending,
                      name=spec.name, shard=shard_label)
+    # One group per cell; workers rebuild each dataset × seed slice's
+    # harness lazily from its workload factory, once per process.
+    groups = [
+        (
+            (cell["seed"], WorkloadFactory(cell["dataset"], scale=cell["scale"])),
+            [(cell["method"], cell["gamma"], *method_call[cell["method"]],
+              cell["digest"])],
+        )
+        for cell in cells
+    ]
     state = {
         "harnesses": {},
-        "store": ledger,
-        "harness_kwargs": spec.harness,
+        "harness_kwargs": {**spec.harness, "store": ledger},
+        "cell_spans": True,
         "shard": shard_label,
     }
-    get_executor(workers).map(_spec_cell_task, pending, state=state)
-
-    results = {}
-    for cell in cells:
-        entry = ledger.get(cell["digest"])
-        if entry is None:  # pragma: no cover - a worker died before writing
-            raise ValidationError(
-                f"cell {cell['dataset']}/{cell['method']}/gamma="
-                f"{cell['gamma']:g}/seed={cell['seed']} is missing from the "
-                f"ledger at {ledger.root} after execution; re-run the spec "
-                "to resume"
-            )
-        results[
-            (cell["dataset"], cell["method"], cell["gamma"], cell["seed"])
-        ] = decode_method_result(entry.payload)
+    # compile_cells already probed the ledger; reuse its verdicts rather
+    # than probing again (the telemetry counts every lookup).
+    stored = {cell["digest"] for cell in cells if cell["cached"]}
+    decoded = run_cells(
+        groups, state=state, workers=workers, ledger=ledger, stored=stored
+    )
+    results = {
+        (cell["dataset"], cell["method"], cell["gamma"], cell["seed"]): result
+        for cell, (result,) in zip(cells, decoded)
+    }
 
     aggregates = {}
     if len(spec.seeds) > 1:
@@ -690,7 +646,7 @@ def _run_spec_inner(
         "cells": {
             "total": len(cells),
             "cached": sum(1 for cell in cells if cell["cached"]),
-            "computed": sum(1 for cell in cells if not cell["cached"]),
+            "computed": n_pending,
         },
         "ledger": delta,
         "trace_enabled": trace_enabled(),

@@ -8,9 +8,8 @@ service. This package operationalizes that claim:
 * :class:`ModelRegistry` — versioned on-disk storage of fitted estimators
   (``register`` / resolve ``name@version`` / ``promote``) with manifests
   recording model type, hyper-parameters, library version, and input schema.
-* :class:`BatchTransformer` / :class:`MicroBatcher` — bulk chunking and
-  online request coalescing so throughput is bounded by the matmul, not
-  per-row python overhead.
+* :class:`BatchTransformer` — bulk chunking so throughput is bounded by
+  the matmul, not per-row python overhead, at bounded peak memory.
 * :class:`LRUCache` — digest-keyed result cache for heavy-tailed traffic.
 * :class:`TransformService` — the thread-safe façade tying the above
   together, with hit/miss/latency counters.
@@ -31,7 +30,7 @@ Quickstart::
     Z = service.transform("pfr-admissions@latest", X_new)
 """
 
-from .batching import BatchTransformer, MicroBatcher
+from .batching import BatchTransformer
 from .cache import LRUCache, matrix_digests, row_digest
 from .http import ServingServer
 from .registry import ModelRecord, ModelRegistry
@@ -39,7 +38,6 @@ from .service import TransformService
 
 __all__ = [
     "BatchTransformer",
-    "MicroBatcher",
     "LRUCache",
     "row_digest",
     "matrix_digests",

@@ -1,31 +1,19 @@
 """Request batching for the transform service.
 
-Two complementary batchers live here:
-
-* :class:`BatchTransformer` — synchronous bulk path. One huge matrix is
-  transformed in bounded-size chunks so peak memory stays
-  ``O(chunk_size · max(m, d))`` instead of ``O(n · (m + d))`` for the
-  intermediate buffers some transformers allocate (KernelPFR materializes
-  an ``(n, n_train)`` kernel block, for example).
-* :class:`MicroBatcher` — online path. Concurrent single-row ``transform``
-  requests are coalesced by a background worker into one vectorized
-  ``X @ V`` product, amortizing python/validation overhead across the
-  batch. This is the classic inference-serving trick: per-row model calls
-  are dominated by fixed overhead, so batching multiplies throughput
-  without hurting tail latency more than ``max_wait``.
+:class:`BatchTransformer` is the synchronous bulk path: one huge matrix
+is transformed in bounded-size chunks so peak memory stays
+``O(chunk_size · max(m, d))`` instead of ``O(n · (m + d))`` for the
+intermediate buffers some transformers allocate (KernelPFR materializes
+an ``(n, n_train)`` kernel block, for example).
 """
 
 from __future__ import annotations
-
-import queue
-import threading
-import time
 
 import numpy as np
 
 from ..exceptions import ValidationError
 
-__all__ = ["BatchTransformer", "MicroBatcher"]
+__all__ = ["BatchTransformer"]
 
 
 class BatchTransformer:
@@ -59,218 +47,3 @@ class BatchTransformer:
             for start in range(0, n, self.chunk_size)
         ]
         return np.concatenate(pieces, axis=0)
-
-
-class _Request:
-    """One pending single-row transform awaiting its batch."""
-
-    __slots__ = ("row", "result", "error", "done")
-
-    def __init__(self, row: np.ndarray):
-        self.row = row
-        self.result = None
-        self.error = None
-        self.done = threading.Event()
-
-
-class MicroBatcher:
-    """Coalesce concurrent single-row requests into vectorized transforms.
-
-    A dedicated worker thread drains a queue: it blocks for the first
-    request, then gathers more until either ``max_batch_size`` rows are in
-    hand or ``max_wait`` seconds have elapsed since the batch opened, and
-    finally runs one vectorized ``transform`` over the stacked rows.
-    Results (or the batch's exception) are fanned back out to the blocked
-    callers.
-
-    Use as a context manager, or call :meth:`close` explicitly::
-
-        with MicroBatcher(model.transform) as batcher:
-            z = batcher.submit(x_row)       # blocks until the batch runs
-
-    Parameters
-    ----------
-    transform_fn:
-        Callable mapping a 2-D float matrix ``(b, m)`` to ``(b, d)``.
-    max_batch_size:
-        Upper bound on rows per vectorized call.
-    max_wait:
-        Seconds the worker waits for the batch to fill before flushing a
-        partial batch. Bounds the latency a lone request pays for batching.
-    n_features:
-        Expected row width. When set, :meth:`submit` rejects wrong-width
-        rows immediately — otherwise one bad row would make ``np.stack``
-        fail for the whole coalesced batch, poisoning every concurrent
-        caller that happened to share it.
-    """
-
-    def __init__(self, transform_fn, *, max_batch_size: int = 256,
-                 max_wait: float = 0.002, n_features: int | None = None):
-        if max_batch_size < 1:
-            raise ValidationError(
-                f"max_batch_size must be >= 1; got {max_batch_size}"
-            )
-        if max_wait < 0:
-            raise ValidationError(f"max_wait must be >= 0; got {max_wait}")
-        self.transform_fn = transform_fn
-        self.max_batch_size = max_batch_size
-        self.max_wait = max_wait
-        self.n_features = n_features
-        self._queue: queue.Queue[_Request | None] = queue.Queue()
-        self._closed = False
-        self._worker_error: BaseException | None = None
-        # Makes the closed-check + enqueue atomic against close(): without
-        # it a submit could slip its request onto the queue after the
-        # shutdown sentinel and block forever on an event nobody will set.
-        self._submit_lock = threading.Lock()
-        self._n_batches = 0
-        self._n_rows = 0
-        self._worker = threading.Thread(
-            target=self._run, name="repro-microbatcher", daemon=True
-        )
-        self._worker.start()
-
-    # ------------------------------------------------------------- client
-    def submit(self, row) -> np.ndarray:
-        """Block until ``row`` has been transformed; return its representation."""
-        row = np.asarray(row, dtype=np.float64)
-        if row.ndim != 1:
-            raise ValidationError(
-                f"submit expects a single 1-D feature row; got ndim={row.ndim}"
-            )
-        if self.n_features is not None and row.shape[0] != self.n_features:
-            raise ValidationError(
-                f"schema mismatch: row has {row.shape[0]} features but this "
-                f"batcher expects {self.n_features}"
-            )
-        request = _Request(row)
-        with self._submit_lock:
-            if self._closed:
-                if self._worker_error is not None:
-                    raise ValidationError(
-                        "MicroBatcher is closed: its worker died on "
-                        f"{type(self._worker_error).__name__}: "
-                        f"{self._worker_error}"
-                    )
-                raise ValidationError("MicroBatcher is closed")
-            self._queue.put(request)
-        request.done.wait()
-        if request.error is not None:
-            raise request.error
-        return request.result
-
-    def close(self) -> None:
-        """Stop the worker after draining in-flight requests. Idempotent."""
-        with self._submit_lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._queue.put(None)  # sentinel wakes the worker for shutdown
-        self._worker.join()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    @property
-    def stats(self) -> dict:
-        """Batching effectiveness: batches flushed, rows, mean batch size."""
-        batches, rows = self._n_batches, self._n_rows
-        return {
-            "n_batches": batches,
-            "n_rows": rows,
-            "mean_batch_size": rows / batches if batches else 0.0,
-        }
-
-    # ------------------------------------------------------------- worker
-    def _gather(self) -> list[_Request] | None:
-        """Collect the next batch; ``None`` means shutdown."""
-        first = self._queue.get()
-        if first is None:
-            return None
-        batch = [first]
-        deadline = time.monotonic() + self.max_wait
-        while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                # Re-enqueue the sentinel so the next _gather sees it after
-                # this (final) batch has been flushed.
-                self._queue.put(None)
-                break
-            batch.append(item)
-        return batch
-
-    def _abort(self, cause: BaseException) -> None:
-        """Mark the batcher dead and fail every queued request.
-
-        Runs (on the worker thread) when the worker is about to die on a
-        ``BaseException``. Holding ``_submit_lock`` across the close-mark
-        *and* the queue drain means no ``submit`` can slip a request in
-        between: it either enqueued before (and is drained and failed
-        here) or checks ``_closed`` after (and raises immediately).
-        """
-        with self._submit_lock:
-            self._closed = True
-            self._worker_error = cause
-            while True:
-                try:
-                    pending = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if pending is None:
-                    continue  # shutdown sentinel from a concurrent close()
-                pending.error = ValidationError(
-                    "MicroBatcher worker died before serving this request "
-                    f"({type(cause).__name__}: {cause})"
-                )
-                pending.done.set()
-
-    def _run(self) -> None:
-        while True:
-            batch = self._gather()
-            if batch is None:
-                return
-            try:
-                stacked = np.stack([request.row for request in batch])
-                results = np.asarray(self.transform_fn(stacked))
-                if results.shape[0] != len(batch):
-                    raise ValidationError(
-                        f"transform_fn returned {results.shape[0]} rows for a "
-                        f"batch of {len(batch)}"
-                    )
-                for request, result in zip(batch, results):
-                    # Copy: a row view would pin the whole (b, d) batch
-                    # array in memory for as long as any caller keeps its
-                    # single-row result.
-                    request.result = np.array(result)
-            except BaseException as exc:  # fan the failure out to every caller
-                # BaseException included: a KeyboardInterrupt/SystemExit
-                # landing inside transform_fn used to escape this handler,
-                # leaving the batch's callers a None result and — because
-                # the worker thread died — every *future* submit() parked
-                # forever on done.wait(). Now the batch still gets the
-                # error, the batcher is marked closed with the queue
-                # drained, and submit() raises instead of hanging.
-                for request in batch:
-                    request.error = exc
-                if not isinstance(exc, Exception):
-                    # The worker cannot survive a BaseException; die quietly
-                    # (the exception already reached every caller via
-                    # request.error, so re-raising would only spam the
-                    # threading excepthook) after failing the queue.
-                    self._abort(exc)
-                    return
-            finally:
-                self._n_batches += 1
-                self._n_rows += len(batch)
-                for request in batch:
-                    request.done.set()

@@ -7,7 +7,7 @@ of its input row, the projected representation can be cached by a digest of
 the raw feature vector and served without touching the matmul at all.
 
 The cache is a plain ordered-dict LRU guarded by a lock — safe to share
-between the micro-batcher worker thread and synchronous callers.
+between the HTTP server's request worker threads.
 """
 
 from __future__ import annotations

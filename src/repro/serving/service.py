@@ -26,7 +26,7 @@ from ..exceptions import ValidationError
 from ..io import load_model
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span, trace_enabled
-from .batching import BatchTransformer, MicroBatcher
+from .batching import BatchTransformer
 from .cache import LRUCache, matrix_digests, row_digest
 from .registry import ModelRegistry, ModelRecord
 
@@ -60,8 +60,6 @@ class TransformService:
     chunk_size:
         Bulk requests are fed to the model at most this many rows at a
         time to bound peak memory.
-    max_batch_size, max_wait:
-        Defaults handed to :meth:`microbatcher` instances.
     metrics:
         The :class:`~repro.obs.MetricsRegistry` request accounting lands
         in. Defaults to a private registry per service, so two services
@@ -92,8 +90,6 @@ class TransformService:
         *,
         cache_size: int = 100_000,
         chunk_size: int = 8192,
-        max_batch_size: int = 256,
-        max_wait: float = 0.002,
         metrics: MetricsRegistry | None = None,
         drift: bool = False,
         drift_sample: int = 32,
@@ -105,8 +101,6 @@ class TransformService:
         )
         self.cache_size = cache_size
         self.chunk_size = chunk_size
-        self.max_batch_size = max_batch_size
-        self.max_wait = max_wait
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if drift and drift_sample < 1:
             raise ValidationError(
@@ -232,28 +226,6 @@ class TransformService:
         result.setflags(write=False)
         self._account(served, 1, time.perf_counter() - start)
         return result
-
-    def microbatcher(self, spec: str, *, max_batch_size: int | None = None,
-                     max_wait: float | None = None) -> MicroBatcher:
-        """A :class:`MicroBatcher` coalescing concurrent single-row requests.
-
-        The returned batcher feeds whole coalesced batches through this
-        service (so caching and accounting still apply), passing ``spec``
-        through verbatim — a bare name or ``@latest`` keeps following
-        promotions exactly like direct :meth:`transform` calls, so the two
-        request paths of one service can never serve different versions.
-        Close it when done.
-        """
-        served = self._served(spec)  # resolve + load eagerly, fail fast
-        batcher = MicroBatcher(
-            lambda X: self.transform(spec, X),
-            max_batch_size=(
-                self.max_batch_size if max_batch_size is None else max_batch_size
-            ),
-            max_wait=self.max_wait if max_wait is None else max_wait,
-            n_features=served.record.n_features_in,
-        )
-        return batcher
 
     # ------------------------------------------------------ observability
     def stats(self) -> dict:

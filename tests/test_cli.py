@@ -68,6 +68,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert "unknown experiment" in err
 
+    def test_bad_scale_is_a_clean_error(self, capsys):
+        assert main(["run", "figure2", "--scale", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "scale" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_report_bad_scale_is_a_clean_error(self, capsys):
+        assert main(["report", "synthetic", "--scale", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "scale" in captured.err
+
+    def test_spec_flag_rejected_for_an_experiment(self, capsys):
+        assert main(["run", "table1", "--workers", "2"]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_run_traces_an_experiment(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(
+            ["run", "table1", "--scale", "0.05", "--trace", str(trace)]
+        ) == 0
+        assert "Base-rate" in capsys.readouterr().out
+        assert trace.stat().st_size > 0
+
 
 class TestExperiments:
     def test_sweep_table_and_json_agree(self, capsys):
@@ -122,6 +145,20 @@ class TestExperiments:
         ) == 2
         assert "two seeds" in capsys.readouterr().err
 
+    def test_duplicate_seeds_are_a_clean_error(self, capsys):
+        assert main(
+            ["experiments", "repeat", "synthetic", "--scale", "0.2",
+             "--methods", "original", "--seeds", "3,3"]
+        ) == 2
+        assert "duplicates" in capsys.readouterr().err
+
+    def test_duplicate_gammas_are_a_clean_error(self, capsys):
+        assert main(
+            ["experiments", "sweep", "synthetic", "--scale", "0.2",
+             "--gammas", "0.5,0.5"]
+        ) == 2
+        assert "duplicates" in capsys.readouterr().err
+
     def test_invalid_workers_is_a_clean_error(self, capsys):
         assert main(
             ["experiments", "sweep", "synthetic", "--scale", "0.2",
@@ -138,16 +175,6 @@ class TestVersionFlag:
         out = capsys.readouterr().out
         from repro._version import __version__
         assert out.strip() == f"repro {__version__}"
-
-
-class TestExperimentsList:
-    def test_lists_paper_experiment_registry(self, capsys):
-        assert main(["experiments", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "table1" in out
-        for i in range(1, 11):
-            assert f"figure{i}" in out
-        assert "benchmarks/bench_fig4_synthetic_gamma.py" in out
 
 
 class TestExperimentsRunSpec:
@@ -167,12 +194,12 @@ class TestExperimentsRunSpec:
     def test_cold_then_warm(self, spec_file, tmp_path, capsys):
         store = tmp_path / "ledger"
         assert main([
-            "experiments", "run", str(spec_file), "--store", str(store)
+            "run", str(spec_file), "--store", str(store)
         ]) == 0
         out = capsys.readouterr().out
         assert "8 cells" in out and "8 computed" in out
         assert main([
-            "experiments", "run", str(spec_file), "--store", str(store)
+            "run", str(spec_file), "--store", str(store)
         ]) == 0
         out = capsys.readouterr().out
         assert "8 cached, 0 computed" in out
@@ -180,7 +207,7 @@ class TestExperimentsRunSpec:
 
     def test_json_report(self, spec_file, tmp_path, capsys):
         assert main([
-            "experiments", "run", str(spec_file),
+            "run", str(spec_file),
             "--store", str(tmp_path / "ledger"), "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -191,7 +218,7 @@ class TestExperimentsRunSpec:
 
     def test_missing_spec_errors(self, tmp_path, capsys):
         assert main([
-            "experiments", "run", str(tmp_path / "nope.yaml"),
+            "run", str(tmp_path / "nope.yaml"),
             "--store", str(tmp_path / "ledger"),
         ]) == 2
         assert "not found" in capsys.readouterr().err
@@ -204,14 +231,14 @@ class TestExperimentsRunSpec:
         # the merged store finds every cell cached and its aggregates
         # equal the unsharded run's.
         assert main([
-            "experiments", "run", str(spec_file),
+            "run", str(spec_file),
             "--store", str(tmp_path / "full"), "--json",
         ]) == 0
         full = json.loads(capsys.readouterr().out)
         shards = []
         for i in range(2):
             assert main([
-                "experiments", "run", str(spec_file),
+                "run", str(spec_file),
                 "--store", str(tmp_path / f"s{i}"),
                 "--shard", f"{i}/2", "--json",
             ]) == 0
@@ -224,7 +251,7 @@ class TestExperimentsRunSpec:
         ]) == 0
         capsys.readouterr()
         assert main([
-            "experiments", "run", str(spec_file),
+            "run", str(spec_file),
             "--store", str(tmp_path / "merged"), "--json",
         ]) == 0
         merged = json.loads(capsys.readouterr().out)
@@ -242,9 +269,19 @@ class TestExperimentsRunSpec:
             "store", "verify", "--store", str(tmp_path / "merged"),
         ]) == 0
 
+    def test_experiment_flag_rejected_for_a_spec(
+        self, spec_file, tmp_path, capsys
+    ):
+        assert main([
+            "run", str(spec_file), "--store", str(tmp_path / "ledger"),
+            "--seed", "1",
+        ]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "ledger").exists()
+
     def test_invalid_shard_errors(self, spec_file, tmp_path, capsys):
         assert main([
-            "experiments", "run", str(spec_file),
+            "run", str(spec_file),
             "--store", str(tmp_path / "ledger"), "--shard", "2/2",
         ]) == 2
         assert "shard index" in capsys.readouterr().err

@@ -105,7 +105,6 @@ class TestRegistry:
             assert spec.dataset in ("all", "synthetic", "crime", "compas")
             assert callable(spec.driver)
             assert spec.expected_shapes
-            assert spec.bench_module.startswith("benchmarks/")
 
     def test_get_experiment(self):
         assert get_experiment("figure2").dataset == "synthetic"

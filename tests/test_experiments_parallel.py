@@ -7,6 +7,8 @@ fan-out (``workers=4``) and requires **bitwise-identical** results — equal
 floats, not allclose.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.exceptions import ValidationError
 from repro.experiments import (
     Executor,
     ExperimentHarness,
+    RunSpec,
     WorkloadFactory,
     available_workers,
     get_executor,
@@ -23,9 +26,11 @@ from repro.experiments import (
     repeat_gamma_sweep,
     repeat_method,
     repeat_methods,
+    run_spec,
     spawn_seeds,
     tune_methods,
 )
+from repro.experiments.repetition import _collect, _repeat
 
 
 # Module-level task functions: the process backend pickles them by
@@ -48,6 +53,7 @@ def _cpu_budget_task(state, task):
 
 
 PROCESS_4 = Executor(backend="process", workers=4)
+PROCESS_2 = Executor(backend="process", workers=2)
 
 
 class TestSpawnSeeds:
@@ -266,6 +272,20 @@ class TestRepetitionSeeds:
         )
         assert aggregate == explicit
 
+    def test_duplicate_seeds_rejected(self):
+        # Two runs of one draw would report a spread of zero as error bars.
+        factory = WorkloadFactory("synthetic", scale=0.2)
+        with pytest.raises(ValidationError, match="duplicates"):
+            repeat_methods(factory, ["pfr"], seeds=(0, 0))
+        with pytest.raises(ValidationError, match="duplicates"):
+            repeat_method(factory, "pfr", seeds=(3, 1, 3))
+        with pytest.raises(ValidationError, match="duplicates"):
+            repeat_gamma_sweep(factory, [0.5], seeds=[2, 2])
+
+    def test_duplicate_gammas_rejected_by_gamma_sweep(self, parity_harness):
+        with pytest.raises(ValidationError, match="duplicates"):
+            parity_harness.gamma_sweep([0.5, 0.5])
+
     def test_generator_seeds_materialized(self):
         factory = WorkloadFactory("synthetic", scale=0.2)
         aggregate = repeat_method(
@@ -273,6 +293,169 @@ class TestRepetitionSeeds:
             harness_kwargs={"n_components": 2},
         )
         assert aggregate.n_runs == 2
+
+
+def _bits(results) -> list:
+    """Pickled bytes of each result: equal bytes means equal floats."""
+    return [pickle.dumps(result) for result in results]
+
+
+@pytest.fixture(params=[(None, False), (None, True), (2, False), (2, True)],
+                ids=["serial", "serial-store", "process2", "process2-store"])
+def fan_out(request, tmp_path):
+    """(workers, store, reference store) for one fan-out mode.
+
+    The reference loop writes to its own store, so it decodes exactly as
+    the fan-out does without sharing (and so short-circuiting) its cells.
+    """
+    workers, with_store = request.param
+    if not with_store:
+        return PROCESS_2 if workers else None, None, None
+    return (
+        PROCESS_2 if workers else None,
+        tmp_path / "fan-out", tmp_path / "reference",
+    )
+
+
+class TestFanOutsMatchReferenceLoops:
+    """Every fan-out equals a plain loop over ``run_method`` (or
+    ``_score_grid_point``) — bitwise, serial and at two process workers,
+    with and without a run ledger (cold, then warm)."""
+
+    DATA = simulate_admissions(60, seed=3)
+    FACTORY = WorkloadFactory("synthetic", scale=0.2)
+    SEEDS = (0, 1)
+
+    def _harness(self, store, data=None, seed=0):
+        return ExperimentHarness(
+            self.DATA if data is None else data, seed=seed, n_components=2,
+            store=store,
+        )
+
+    def test_run_methods(self, fan_out):
+        workers, store, ref_store = fan_out
+        methods = ("original", "pfr", "ifair", "hardt", "pfr+")
+        reference = self._harness(ref_store)
+        expected = [
+            reference.run_method(m, gamma=0.9, C=0.5) for m in methods
+        ]
+        for _ in range(2 if store else 1):
+            got = self._harness(store).run_methods(
+                methods, gamma=0.9, C=0.5, workers=workers
+            )
+            assert list(got) == list(methods)
+            assert _bits(got.values()) == _bits(expected)
+
+    def test_gamma_sweep(self, fan_out):
+        workers, store, ref_store = fan_out
+        gammas = [0.0, 0.4, 1.0]
+        reference = self._harness(ref_store)
+        expected = [reference.run_method("lfr", gamma=g, a_z=1.0) for g in gammas]
+        for _ in range(2 if store else 1):
+            got = self._harness(store).gamma_sweep(
+                gammas, method="lfr", workers=workers, a_z=1.0
+            )
+            assert _bits(got) == _bits(expected)
+
+    def test_tune(self, fan_out):
+        workers, store, ref_store = fan_out
+        grid = {"gamma": [0.1, 0.9], "C": [0.1, 1.0]}
+        reference = self._harness(ref_store).prepare()
+        points = [
+            {"gamma": g, "C": c} for c in grid["C"] for g in grid["gamma"]
+        ]
+        expected = [
+            reference._score_grid_point("pfr", p, n_splits=3, scoring="roc_auc")
+            for p in points
+        ]
+        for _ in range(2 if store else 1):
+            tuned = tune_methods(
+                self._harness(None), methods=("pfr",), grids={"pfr": grid},
+                n_splits=3, workers=workers, store=store,
+            )["pfr"]
+            scores = {
+                (r["params"]["gamma"], r["params"]["C"]): r["mean_score"]
+                for r in tuned["results"]
+            }
+            assert [scores[(p["gamma"], p["C"])] for p in points] == expected
+
+    def _reference_seeds(self, ref_store, cells):
+        return [
+            [
+                self._harness(ref_store, self.FACTORY(seed), seed).run_method(
+                    method, gamma=gamma, C=C, **params
+                )
+                for method, gamma, C, params in cells
+            ]
+            for seed in self.SEEDS
+        ]
+
+    def test_repeat_family(self, fan_out):
+        workers, store, ref_store = fan_out
+        kwargs = dict(
+            seeds=self.SEEDS, harness_kwargs={"n_components": 2},
+            workers=workers, store=store,
+        )
+        cells = [("original", 0.9, 1.0, {}), ("pfr", 0.9, 1.0, {})]
+        expected = self._reference_seeds(ref_store, cells)
+        for _ in range(2 if store else 1):
+            per_seed = _repeat(
+                self.FACTORY, self.SEEDS, cells, {"n_components": 2}, store,
+                workers,
+            )
+            assert [_bits(row) for row in per_seed] == [
+                _bits(row) for row in expected
+            ]
+            aggregates = repeat_methods(
+                self.FACTORY, ("original", "pfr"), gamma=0.9, **kwargs
+            )
+            for i, method in enumerate(("original", "pfr")):
+                assert aggregates[method] == _collect(
+                    [row[i] for row in expected]
+                )
+            assert repeat_method(
+                self.FACTORY, "pfr", gamma=0.9, **kwargs
+            ) == _collect([row[1] for row in expected])
+            sweep = repeat_gamma_sweep(
+                self.FACTORY, [0.9], method="original", **kwargs
+            )
+            assert sweep == {0.9: _collect([row[0] for row in expected])}
+
+    @pytest.mark.parametrize("workers", [None, PROCESS_2],
+                             ids=["serial", "process2"])
+    def test_run_spec_and_ledger_telemetry(self, workers, tmp_path):
+        spec = RunSpec.from_dict({
+            "datasets": [{"name": "synthetic", "scale": 0.2}],
+            "methods": ["original", "pfr"], "gammas": [0.0, 0.5],
+            "seeds": list(self.SEEDS), "harness": {"n_components": 2},
+            "method_params": {"pfr": {"C": 10.0}},
+        })
+        n = spec.n_cells
+        cold = run_spec(spec, store=tmp_path / "ledger", workers=workers)
+        warm = run_spec(spec, store=tmp_path / "ledger", workers=workers)
+        for report in (cold, warm):
+            for (_, method, gamma, seed), result in report.results.items():
+                C = 10.0 if method == "pfr" else 1.0
+                expected = self._harness(
+                    tmp_path / "reference", self.FACTORY(seed), seed
+                ).run_method(method, gamma=gamma, C=C)
+                assert _bits([result]) == _bits([expected])
+        ledger = {k: cold.telemetry["ledger"][k]
+                  for k in ("hits", "misses", "lookups", "gets", "puts")}
+        if workers is None:
+            # compile probe (miss), the cell's own read-through (miss) and
+            # write, then the read-back (hit) — all in this process.
+            assert ledger == {"hits": n, "misses": 2 * n, "lookups": 3 * n,
+                              "gets": 2 * n, "puts": n}
+        else:
+            # The workers' read-through and writes count in their processes.
+            assert ledger == {"hits": n, "misses": n, "lookups": 2 * n,
+                              "gets": n, "puts": 0}
+        # Warm: the compile probe and the read-back both hit; no dispatch.
+        assert {k: warm.telemetry["ledger"][k]
+                for k in ("hits", "misses", "lookups", "gets", "puts")} == {
+            "hits": 2 * n, "misses": 0, "lookups": 2 * n, "gets": n, "puts": 0,
+        }
 
 
 class TestSampleStd:

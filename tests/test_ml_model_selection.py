@@ -40,6 +40,21 @@ class TestTrainTestSplit:
         assert y_test.mean() == pytest.approx(0.2, abs=0.01)
         assert len(y_test) == 25
 
+    def test_joint_composition_preserved(self):
+        # A joint y×s key passed as `stratify` keeps every (label, group)
+        # cell within one row of proportional on both sides.
+        from repro.datasets import simulate_admissions
+
+        data = simulate_admissions(400, seed=21)
+        joint = 2 * data.y + data.s
+        train, test = train_test_split(
+            joint, test_size=0.25, stratify=joint, seed=3
+        )
+        for side in (train, test):
+            for cell in range(4):
+                share = np.mean(joint == cell)
+                assert abs(np.mean(side == cell) - share) < 0.02
+
     def test_deterministic_given_seed(self):
         X = np.arange(30)
         a1, b1 = train_test_split(X, test_size=0.5, seed=9)

@@ -1,13 +1,10 @@
-"""Tests for repro.serving.batching — chunked bulk and micro-batched paths."""
-
-import threading
-import time
+"""Tests for repro.serving.batching — the chunked bulk path."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.serving import BatchTransformer, MicroBatcher
+from repro.serving import BatchTransformer
 
 
 class RecordingModel:
@@ -54,178 +51,3 @@ class TestBatchTransformer:
         with pytest.raises(ValidationError, match="2-dimensional"):
             BatchTransformer(model).transform(rng.normal(size=6))
 
-
-class TestMicroBatcher:
-    def test_single_submit(self, model, rng):
-        row = rng.normal(size=6)
-        with MicroBatcher(model.transform, max_wait=0.001) as batcher:
-            result = batcher.submit(row)
-        np.testing.assert_allclose(result, row @ model.V)
-
-    def test_concurrent_submits_coalesce(self, model, rng):
-        X = rng.normal(size=(24, 6))
-        barrier = threading.Barrier(24)
-        results = [None] * 24
-
-        def client(i):
-            barrier.wait()
-            results[i] = batcher.submit(X[i])
-
-        with MicroBatcher(model.transform, max_batch_size=32,
-                          max_wait=0.05) as batcher:
-            threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(24)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            stats = batcher.stats
-
-        np.testing.assert_allclose(np.stack(results), X @ model.V)
-        assert stats["n_rows"] == 24
-        # Concurrent arrivals must have shared vectorized calls.
-        assert stats["n_batches"] < 24
-        assert stats["mean_batch_size"] > 1.0
-
-    def test_max_batch_size_respected(self, model, rng):
-        X = rng.normal(size=(10, 6))
-        with MicroBatcher(model.transform, max_batch_size=4,
-                          max_wait=0.05) as batcher:
-            threads = [
-                threading.Thread(target=lambda i=i: batcher.submit(X[i]))
-                for i in range(10)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert max(model.batch_sizes) <= 4
-
-    def test_error_propagates_to_caller(self):
-        def broken(X):
-            raise RuntimeError("backend down")
-
-        with MicroBatcher(broken, max_wait=0.001) as batcher:
-            with pytest.raises(RuntimeError, match="backend down"):
-                batcher.submit(np.zeros(3))
-
-    def test_submit_rejects_matrix(self, model, rng):
-        with MicroBatcher(model.transform) as batcher:
-            with pytest.raises(ValidationError, match="1-D"):
-                batcher.submit(rng.normal(size=(2, 6)))
-
-    def test_closed_batcher_rejects_submits(self, model, rng):
-        batcher = MicroBatcher(model.transform)
-        batcher.close()
-        batcher.close()  # idempotent
-        with pytest.raises(ValidationError, match="closed"):
-            batcher.submit(rng.normal(size=6))
-
-    def test_bad_parameters(self, model):
-        with pytest.raises(ValidationError, match="max_batch_size"):
-            MicroBatcher(model.transform, max_batch_size=0)
-        with pytest.raises(ValidationError, match="max_wait"):
-            MicroBatcher(model.transform, max_wait=-1.0)
-
-    def test_wrong_width_rejected_at_submit(self, model, rng):
-        # One bad row must fail alone, not poison a coalesced batch.
-        with MicroBatcher(model.transform, n_features=6,
-                          max_wait=0.02) as batcher:
-            with pytest.raises(ValidationError, match="schema mismatch"):
-                batcher.submit(rng.normal(size=5))
-            good = rng.normal(size=6)
-            np.testing.assert_allclose(batcher.submit(good), good @ model.V)
-
-    def test_row_count_mismatch_is_an_error(self):
-        with MicroBatcher(lambda X: X[:0], max_wait=0.001) as batcher:
-            with pytest.raises(ValidationError, match="rows for a batch"):
-                batcher.submit(np.zeros(3))
-
-
-class TestWorkerDeath:
-    """Regression: a BaseException in transform_fn used to kill the worker
-    silently — the interrupted batch's callers got ``None`` back and every
-    *future* submit() parked forever on ``done.wait()``."""
-
-    @staticmethod
-    def _submit_in_thread(batcher, row, timeout=5.0):
-        """Run submit() off-thread so a regression hangs the helper thread,
-        not the test; return (outcome, value)."""
-        box = {}
-
-        def call():
-            try:
-                box["result"] = batcher.submit(row)
-            except BaseException as exc:  # noqa: BLE001 - the point of the test
-                box["error"] = exc
-
-        thread = threading.Thread(target=call, daemon=True)
-        thread.start()
-        thread.join(timeout)
-        assert not thread.is_alive(), "submit() hung — worker death not fanned out"
-        return box
-
-    def test_base_exception_reaches_caller(self):
-        def interrupted(X):
-            raise KeyboardInterrupt("ctrl-c mid-batch")
-
-        batcher = MicroBatcher(interrupted, max_wait=0.001)
-        box = self._submit_in_thread(batcher, np.zeros(3))
-        assert isinstance(box.get("error"), KeyboardInterrupt)
-
-    def test_submit_after_worker_death_raises_instead_of_hanging(self):
-        def interrupted(X):
-            raise KeyboardInterrupt
-
-        batcher = MicroBatcher(interrupted, max_wait=0.001)
-        self._submit_in_thread(batcher, np.zeros(3))  # kills the worker
-        batcher._worker.join(5.0)
-        assert not batcher._worker.is_alive()
-        # The batcher is now closed: later submits fail fast with a
-        # diagnostic instead of blocking forever on a dead worker.
-        box = self._submit_in_thread(batcher, np.zeros(3))
-        error = box.get("error")
-        assert isinstance(error, ValidationError)
-        assert "worker died" in str(error)
-        batcher.close()  # still idempotent after an abort
-
-    def test_queued_requests_fail_when_worker_dies(self):
-        release = threading.Event()
-        calls = []
-
-        def slow_then_dead(X):
-            calls.append(X.shape[0])
-            release.wait(5.0)
-            raise SystemExit
-
-        batcher = MicroBatcher(slow_then_dead, max_batch_size=1,
-                               max_wait=0.0)
-        boxes = [{} for _ in range(3)]
-
-        def call(box):
-            try:
-                box["result"] = batcher.submit(np.zeros(3))
-            except BaseException as exc:  # noqa: BLE001
-                box["error"] = exc
-
-        threads = [
-            threading.Thread(target=call, args=(box,), daemon=True)
-            for box in boxes
-        ]
-        threads[0].start()
-        while not calls:  # first request is inside transform_fn
-            time.sleep(0.001)
-        for thread in threads[1:]:  # these queue up behind it
-            thread.start()
-        while batcher._queue.qsize() < 2:
-            time.sleep(0.001)
-        release.set()  # first batch now dies on SystemExit
-        for thread in threads:
-            thread.join(5.0)
-            assert not thread.is_alive(), "queued submit hung after worker death"
-        errors = [box.get("error") for box in boxes]
-        assert isinstance(errors[0], SystemExit)
-        for error in errors[1:]:
-            assert isinstance(error, ValidationError)
-            assert "worker died" in str(error)

@@ -340,29 +340,6 @@ class TestNonTransformer:
             service.transform("eo", rng.normal(size=(3, 2)))
 
 
-class TestMicrobatcher:
-    def test_microbatched_results_match(self, setup, rng):
-        registry, model, _ = setup
-        service = TransformService(registry)
-        Xq = rng.normal(size=(16, 5))
-        expected = model.transform(Xq)
-        results = [None] * 16
-        with service.microbatcher("pfr", max_wait=0.02) as batcher:
-            threads = [
-                threading.Thread(
-                    target=lambda i=i: results.__setitem__(
-                        i, batcher.submit(Xq[i])
-                    )
-                )
-                for i in range(16)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        np.testing.assert_allclose(np.stack(results), expected)
-
-
 class TestDriftAccounting:
     """Per-request drift scoring (opt-in) behind the metrics registry."""
 
