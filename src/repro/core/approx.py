@@ -37,6 +37,7 @@ fidelity/speed trade-off.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,7 @@ from ..graphs.knn import (
     knn_graph,
     median_heuristic,
 )
+from ..obs.metrics import get_registry
 from ..obs.trace import span
 from .plan import Precomputed, SpectralFitPlan, _stage_digest
 from .trace_optimization import EIG_SOLVERS
@@ -78,7 +80,8 @@ def check_extension_params(estimator) -> None:
 
     Shared by ``PFR`` and ``KernelPFR``: ``extension`` must be ``"exact"``
     or ``"nystrom"``; the nystrom mode additionally needs an integer
-    ``landmarks >= 2`` and a known ``landmark_strategy``.
+    ``landmarks >= 2``, a known ``landmark_strategy`` and an integer
+    ``landmark_seed``.
     """
     if estimator.extension not in _EXTENSIONS:
         raise ValidationError(
@@ -97,6 +100,22 @@ def check_extension_params(estimator) -> None:
             f"unknown landmark strategy {estimator.landmark_strategy!r}; "
             f"use one of {LANDMARK_STRATEGIES}"
         )
+    _landmark_seed(estimator.landmark_seed)
+
+
+def _landmark_seed(seed) -> int:
+    """The integer a landmark seed stands for.
+
+    ``1``, ``True`` and ``np.int64(1)`` select the same rows, so they must
+    hash to the same ``landmarks`` stage digest; a ``Generator`` or ``None``
+    has no stable identity to hash and is rejected.
+    """
+    try:
+        return int(operator.index(seed))
+    except TypeError:
+        raise ValidationError(
+            f"landmark seed must be an integer; got {seed!r}"
+        ) from None
 
 
 def check_numeric_params(estimator) -> None:
@@ -133,6 +152,22 @@ def _min_sq_distances(view: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", delta, delta)
 
 
+def _d2_draw(rng: np.random.Generator, d2: np.ndarray, total: float) -> int:
+    """``rng.choice(len(d2), p=d2 / total)`` without ``choice``'s O(n) checks.
+
+    Same cdf, same single ``rng.random()`` and same search as numpy's
+    ``Generator.choice``, so index and generator state match it exactly.
+    """
+    if not np.isfinite(total):
+        raise ValidationError(
+            "squared distances overflow float64; rescale X before "
+            "k-means++ landmark selection"
+        )
+    cdf = np.cumsum(d2 / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def select_landmarks(
     X,
     n_landmarks: int,
@@ -158,6 +193,19 @@ def select_landmarks(
           their spread without the farthest-point outlier obsession.
         * ``"farthest"`` — greedy farthest-point traversal; deterministic
           after the seeded start, maximal coverage of the data's extent.
+
+        Both greedy strategies keep each row's squared distance ``d2`` to
+        its nearest landmark ``a`` so far. A new landmark ``c`` re-measures
+        only the rows with ``|c - a|² / 4 <= slack · d2``; for any other
+        row ``|c - a| >= 2 |x - a|``, so by the triangle inequality ``c``
+        is no closer than ``a``. ``slack = 1 + 8 (f + 4) eps`` covers the
+        rounding of both computed distances (sums of ``f`` non-negative
+        terms). An underflowing ``|c - a|²`` re-measures every row of
+        ``a``, and an overflowing one counts as the largest float. So
+        ``d2``, and with it every draw, is bitwise what rescanning all
+        rows for each landmark gives. The ``landmarks.rows_evaluated`` and
+        ``landmarks.rows_scanned`` counters record how many rows that
+        saves.
     seed:
         Generator seed; selection is a pure function of ``(X, m, strategy,
         seed, exclude)``.
@@ -204,12 +252,25 @@ def select_landmarks(
         return np.sort(rng.choice(n, size=n_landmarks, replace=False))
 
     view = _distance_view(X, exclude)
+    # Evaluated rows are gathered into a buffer with view's memory layout:
+    # numpy sums the squared deltas of C- and F-ordered rows in different
+    # orders, and d2 must round exactly as a full rescan rounds it.
+    block_buffer = np.empty_like(view)
+    finfo = np.finfo(view.dtype)
+    reach_factor = 0.25 / (1.0 + 8.0 * (view.shape[1] + 4) * finfo.eps)
+    # Below this, the underflow of squared deltas is not a relative error.
+    reach_floor = finfo.tiny / finfo.eps
 
     chosen = np.empty(n_landmarks, dtype=np.int64)
     chosen[0] = int(rng.integers(n))
-    # Running minimum squared distance to the chosen set: one O(n·f) update
-    # per new landmark keeps the whole selection O(n·m·f).
-    d2 = _min_sq_distances(view, view[chosen[0]])
+    centers = np.empty((n_landmarks, view.shape[1]), dtype=view.dtype)
+    centers[0] = view[chosen[0]]
+    # d2[x] is |x - a|² for a = centers[owner[x]], computed exactly as a
+    # full rescan computes it; a new centre c can only lower it where
+    # |c - a|² / 4 <= d2[x] (triangle inequality, rounding slack included).
+    d2 = _min_sq_distances(view, centers[0])
+    owner = np.zeros(n, dtype=np.intp)
+    rows_evaluated = rows_scanned = n
     for i in range(1, n_landmarks):
         total = float(d2.sum())
         if total <= 0.0:
@@ -221,11 +282,31 @@ def select_landmarks(
             )
             break
         if strategy == "kmeans++":
-            next_index = int(rng.choice(n, p=d2 / total))
+            next_index = _d2_draw(rng, d2, total)
         else:  # farthest-point: deterministic argmax after the seeded start
             next_index = int(np.argmax(d2))
         chosen[i] = next_index
-        np.minimum(d2, _min_sq_distances(view, view[next_index]), out=d2)
+        if i == n_landmarks - 1:
+            break
+        center = centers[i] = view[next_index]
+        cc = _min_sq_distances(centers[:i], center)
+        reach = np.where(
+            cc >= reach_floor, np.minimum(cc, finfo.max) * reach_factor, 0.0
+        )
+        rows = np.flatnonzero(reach[owner] <= d2)
+        block = block_buffer[: rows.size]
+        np.take(view, rows, axis=0, out=block, mode="clip")
+        np.subtract(block, center, out=block)
+        new_d2 = np.einsum("ij,ij->i", block, block)
+        closer = new_d2 < d2[rows]
+        rows = rows[closer]
+        d2[rows] = new_d2[closer]
+        owner[rows] = i
+        rows_evaluated += block.shape[0]
+        rows_scanned += n
+    metrics = get_registry()
+    metrics.inc("landmarks.rows_evaluated", rows_evaluated, strategy=strategy)
+    metrics.inc("landmarks.rows_scanned", rows_scanned, strategy=strategy)
     return np.sort(chosen)
 
 
@@ -499,14 +580,14 @@ class LandmarkPlan:
         self.X = X
         self.n_landmarks = int(n_landmarks)
         self.strategy = strategy
-        self.seed = seed
+        self.seed = _landmark_seed(seed)
         with span("plan.landmarks", strategy=str(strategy),
                   m=int(n_landmarks), n=int(n)):
             self.indices_ = select_landmarks(
                 X,
                 self.n_landmarks,
                 strategy=strategy,
-                seed=seed,
+                seed=self.seed,
                 exclude=exclude_columns,
             )
         self.X_landmarks_ = X[self.indices_]

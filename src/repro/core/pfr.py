@@ -95,8 +95,8 @@ class PFR(BaseEstimator, TransformerMixin):
         ``"uniform"``, ``"kmeans++"`` (default) or ``"farthest"`` — see
         :func:`repro.core.select_landmarks`.
     landmark_seed:
-        Seed for the landmark selection (fits stay pure functions of the
-        constructor arguments and the data).
+        Integer seed for the landmark selection (fits stay pure functions
+        of the constructor arguments and the data).
     knn_backend:
         Neighbor-search backend for the internal ``WX`` build — ``"exact"``
         (default), ``"blocked"`` or ``"lsh"`` (see the backend table in

@@ -15,6 +15,8 @@ The contract under test (``repro.core.approx``):
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import PFR, KernelPFR
 from repro.core import (
@@ -29,10 +31,14 @@ from repro.core import (
     row_agreement,
     select_landmarks,
 )
+from repro.core.approx import _d2_draw
+from repro.core.plan import _stage_digest
 from repro.datasets import simulate_blobs
 from repro.exceptions import ValidationError
 from repro.graphs import between_group_quantile_graph
+from repro.graphs.knn import _distance_view
 from repro.io import load_model, save_model
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 PARITY_TOL = 1e-8
 
@@ -95,6 +101,273 @@ class TestSelectLandmarks:
             select_landmarks(X, 11)
         with pytest.raises(ValidationError):
             select_landmarks(X, 5, strategy="magic")
+
+
+def _sq_distances(view, center):
+    delta = view - center[None, :]
+    return np.einsum("ij,ij->i", delta, delta)
+
+
+def _seed_starting_at_row_0(n_rows):
+    """A seed whose first landmark among ``n_rows`` rows is row 0."""
+    return next(s for s in range(1000)
+                if np.random.default_rng(s).integers(n_rows) == 0)
+
+
+def full_rescan_landmarks(X, n_landmarks, *, strategy, seed, exclude=None):
+    """Reference selection: every new landmark rescans all n rows.
+
+    This is the loop ``select_landmarks`` ran before it skipped rows by the
+    triangle inequality; the pruned loop must return the same indices.
+    """
+    view = _distance_view(np.asarray(X, dtype=np.float64), exclude)
+    n = view.shape[0]
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(n_landmarks, dtype=np.int64)
+    chosen[0] = int(rng.integers(n))
+    d2 = _sq_distances(view, view[chosen[0]])
+    for i in range(1, n_landmarks):
+        total = float(d2.sum())
+        if total <= 0.0:
+            remaining = np.setdiff1d(np.arange(n), chosen[:i])
+            chosen[i:] = rng.choice(
+                remaining, size=n_landmarks - i, replace=False
+            )
+            break
+        if strategy == "kmeans++":
+            next_index = int(rng.choice(n, p=d2 / total))
+        else:
+            next_index = int(np.argmax(d2))
+        chosen[i] = next_index
+        np.minimum(d2, _sq_distances(view, view[next_index]), out=d2)
+    return np.sort(chosen)
+
+
+@st.composite
+def selection_problems(draw):
+    """Small selection inputs, biased toward ties, duplicates and extremes."""
+    n = draw(st.integers(3, 40))
+    n_features = draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    if dtype is np.float64:
+        scale = draw(st.sampled_from([1e-160, 1e-150, 1.0, 1e150]))
+    else:
+        scale = draw(st.sampled_from([1e-18, 1.0, 1e18]))
+    shape = draw(st.sampled_from(["gaussian", "grid", "duplicates"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(n, n_features))
+    if shape == "grid":
+        base = np.round(base * 2.0) / 2.0
+    elif shape == "duplicates":
+        distinct = draw(st.integers(1, 3))
+        base = base[rng.integers(0, distinct, size=n)]
+    X = (base * scale).astype(dtype)
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    exclude = [0] if n_features > 1 and draw(st.booleans()) else None
+    return {
+        "X": X,
+        "n_landmarks": draw(st.integers(2, n - 1)),
+        "strategy": draw(st.sampled_from(["kmeans++", "farthest"])),
+        "seed": draw(st.integers(0, 1000)),
+        "exclude": exclude,
+    }
+
+
+def _midpoint_trap(scale, spread, margin, n_features):
+    """Rows where only rounding says whether landmark c is closer than a.
+
+    Started at row 0 (``a``), farthest-point selection takes row 1
+    (``c``) and, with d2 exact, row 3 (``y``) third. Row 2 (``x``) sits
+    near the midpoint of a and c:
+    its computed ``|c - a|² · margin / 4`` exceeds its computed
+    ``|x - a|²``, yet its computed ``|x - c|²`` is smaller still. A bound
+    that trusts those rounded values skips x, keeps its stale, larger d2
+    and picks x third instead of y.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        a, c = rng.normal(size=(2, n_features)) * scale
+        cc = _sq_distances(a[None, :], c)[0]
+        step = spread * np.sqrt(cc)
+        xs = (a + c) / 2 + step * rng.normal(size=(500, n_features))
+        da, dc = _sq_distances(xs, a), _sq_distances(xs, c)
+        for k in np.flatnonzero((cc * (0.25 * margin) > da) & (dc < da)):
+            # y: a moved along one axis, so a stays its nearest landmark,
+            # with d2 strictly between x's exact and stale values.
+            ys = np.tile(a, (65, 1))
+            ys[:, 0] += np.sqrt(np.linspace(dc[k], da[k], 67)[1:-1])
+            ya, yc = _sq_distances(ys, a), _sq_distances(ys, c)
+            between = np.flatnonzero((ya <= yc) & (ya > dc[k]) & (ya < da[k]))
+            if between.size:
+                return np.vstack([a, c, xs[k], ys[between[0]]])
+    raise AssertionError("no rounding-decided row near any midpoint")
+
+
+class TestPrunedSelectionParity:
+    """The pruned loop returns exactly the full-rescan reference indices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(selection_problems())
+    def test_matches_full_rescan(self, problem):
+        expected = full_rescan_landmarks(**problem)
+        np.testing.assert_array_equal(select_landmarks(**problem), expected)
+
+    @pytest.mark.parametrize("strategy", ["kmeans++", "farthest"])
+    def test_matches_full_rescan_on_blobs(self, strategy):
+        X = simulate_blobs(3000, n_features=8, seed=2).X
+        for m in (2, 150, 2999):
+            np.testing.assert_array_equal(
+                select_landmarks(X, m, strategy=strategy, seed=4),
+                full_rescan_landmarks(X, m, strategy=strategy, seed=4),
+            )
+
+    @pytest.mark.parametrize(
+        "scale, spread, margin, n_features",
+        [(1.0, 1e-15, 1.0, 8), (2e-162, 0.03, 0.96, 16)],
+        ids=["rounding", "underflow"],
+    )
+    def test_midpoint_rows_are_remeasured(
+        self, scale, spread, margin, n_features
+    ):
+        # "rounding" needs the slack factor; "underflow" (subnormal squared
+        # deltas, far beyond any relative slack) needs the small-cc floor.
+        X = _midpoint_trap(scale, spread, margin, n_features)
+        seed = _seed_starting_at_row_0(4)
+        expected = full_rescan_landmarks(X, 3, strategy="farthest", seed=seed)
+        np.testing.assert_array_equal(expected, [0, 1, 3])
+        np.testing.assert_array_equal(
+            select_landmarks(X, 3, strategy="farthest", seed=seed), expected
+        )
+
+    def test_memory_layout_keeps_rescan_rounding(self):
+        # Rows 2 and 3 sit at the same exact distance from landmark 1 (one
+        # offset permutes the other), and numpy rounds C- and F-ordered
+        # rows' sums differently, which decides the farthest row. Each
+        # layout must reproduce its own rescan.
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            v = rng.normal(size=8)
+            offsets = np.vstack([v, rng.permutation(v)])
+            if np.argmax(_sq_distances(offsets, np.zeros(8))) != np.argmax(
+                _sq_distances(np.asfortranarray(offsets), np.zeros(8))
+            ):
+                break
+        else:
+            raise AssertionError("no layout-dependent rounding found")
+        toward = offsets.sum(axis=0) / np.linalg.norm(offsets.sum(axis=0))
+        X = np.vstack([100.0 * toward, np.zeros(8), offsets])
+        seed = _seed_starting_at_row_0(4)
+        picks = []
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            expected = full_rescan_landmarks(
+                layout(X), 3, strategy="farthest", seed=seed
+            )
+            np.testing.assert_array_equal(
+                select_landmarks(layout(X), 3, strategy="farthest", seed=seed),
+                expected,
+            )
+            picks.append(expected[-1])
+        assert picks[0] != picks[1]
+
+    def test_overflowing_distances(self):
+        # |c - a|² overflows to inf, yet c is closer to x than a is: the
+        # bound must treat inf as "at least float max", not skip x.
+        X = np.array([[0.0], [2e154], [1.1e154], [-1e154]])
+        seed = _seed_starting_at_row_0(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = full_rescan_landmarks(
+                X, 3, strategy="farthest", seed=seed
+            )
+            np.testing.assert_array_equal(expected, [0, 1, 3])
+            np.testing.assert_array_equal(
+                select_landmarks(X, 3, strategy="farthest", seed=seed),
+                expected,
+            )
+            with pytest.raises(ValueError):
+                full_rescan_landmarks(X, 3, strategy="kmeans++", seed=seed)
+            with pytest.raises(ValidationError, match="overflow"):
+                select_landmarks(X, 3, strategy="kmeans++", seed=seed)
+
+    def test_d2_draw_matches_generator_choice(self):
+        weights = np.random.default_rng(3).exponential(size=(500, 64))
+        weights[:, ::5] = 0.0  # zero-mass rows are never drawn
+        ours, numpy_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for d2 in weights:
+            total = float(d2.sum())
+            assert _d2_draw(ours, d2, total) == int(
+                numpy_rng.choice(d2.size, p=d2 / total)
+            )
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    def test_counters_record_pruning(self):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            X = simulate_blobs(2000, n_features=6, seed=0).X
+            for strategy in ("kmeans++", "farthest"):
+                select_landmarks(X, 100, strategy=strategy, seed=0)
+        finally:
+            set_registry(previous)
+        for strategy in ("kmeans++", "farthest"):
+            evaluated = registry.counter_value(
+                "landmarks.rows_evaluated", strategy=strategy
+            )
+            scanned = registry.counter_value(
+                "landmarks.rows_scanned", strategy=strategy
+            )
+            assert 0 < evaluated <= scanned
+            assert scanned == 2000 * 99
+
+
+class TestLandmarkSeedDigest:
+    """The landmarks stage digest depends on the seed's value, not its type."""
+
+    def test_equal_seeds_share_a_digest(self, blob_problem):
+        X, w_fair, _ = blob_problem
+        fits = [
+            PFR(extension="nystrom", landmarks=50, landmark_seed=seed).fit(
+                X, w_fair
+            )
+            for seed in (1, True, np.int64(1), np.uint8(1))
+        ]
+        for model in fits[1:]:
+            np.testing.assert_array_equal(
+                model.landmark_indices_, fits[0].landmark_indices_
+            )
+            assert model.plan_digests_ == fits[0].plan_digests_
+
+    def test_python_int_digest_is_unchanged(self, blob_problem):
+        X, w_fair, _ = blob_problem
+        plan = LandmarkPlan.for_estimator(
+            PFR(extension="nystrom", landmarks=50, landmark_seed=7), X, w_fair
+        )
+        assert plan.seed == 7 and type(plan.seed) is int
+        assert plan._landmark_digest == _stage_digest(
+            "landmarks",
+            {"n_landmarks": 50, "strategy": "kmeans++", "seed": "7",
+             "n_total": X.shape[0]},
+            {"X": X, "indices": plan.indices_},
+        )
+
+    @pytest.mark.parametrize(
+        "seed",
+        [None, 1.0, "1", np.random.default_rng(0)],
+        ids=["none", "float", "str", "generator"],
+    )
+    def test_non_integer_seed_rejected(self, blob_problem, seed):
+        X, w_fair, _ = blob_problem
+        with pytest.raises(ValidationError, match="landmark seed"):
+            PFR(extension="nystrom", landmarks=50, landmark_seed=seed).fit(
+                X, w_fair
+            )
+
+    def test_select_landmarks_still_takes_a_generator(self, rng):
+        X = rng.normal(size=(40, 3))
+        np.testing.assert_array_equal(
+            select_landmarks(X, 6, seed=np.random.default_rng(5)),
+            select_landmarks(X, 6, seed=5),
+        )
 
 
 class TestParityAtFullBudget:
